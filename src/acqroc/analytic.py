@@ -26,18 +26,14 @@ quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
 from .numerics import (
-    DEFAULT_TOL,
     ConvergenceError,
-    ToleranceConfig,
-    _marcum_q1_many,
     as_probability,
     marcum_q1,
     one_minus_pow_complement,
@@ -53,7 +49,6 @@ __all__ = [
     "NonCentralityProfile",
     "SearchPolicy",
     "RocPoint",
-    "RocCurve",
     "l_max_param",
     "expected_noncentrality",
     "cell_pfa",
@@ -176,17 +171,16 @@ class SearchPolicy:
 
 # --- expected non-centrality ---------------------------------------------------
 
-def _sinc_sq_integral(x: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def _sinc_sq_integral(x: float) -> float:
     """Antiderivative of sinc^2 vanishing at 0:
     (1/pi) (Si(2 pi x) - sin^2(pi x)/(pi x)); odd in x."""
     if x == 0.0:
         return 0.0
     s = math.sin(math.pi * x)
-    return (sine_integral(2.0 * math.pi * x, tol) - s * s / (math.pi * x)) / math.pi
+    return (sine_integral(2.0 * math.pi * x) - s * s / (math.pi * x)) / math.pi
 
 
-def expected_noncentrality(params: SignalParams, grid: DopplerGrid, l: int,
-                           tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def expected_noncentrality(params: SignalParams, grid: DopplerGrid, l: int) -> float:
     """Mean non-centrality of a bin at offset l >= 0 from the correct bin.
 
     Averages L_max sinc^2(df T_per) over the residual Doppler, uniform on
@@ -198,7 +192,7 @@ def expected_noncentrality(params: SignalParams, grid: DopplerGrid, l: int,
     x_lo = (2 * l - 1) * wt / 2.0
     x_hi = (2 * l + 1) * wt / 2.0
     lm = l_max_param(params)
-    return lm * (_sinc_sq_integral(x_hi, tol) - _sinc_sq_integral(x_lo, tol)) / wt
+    return lm * (_sinc_sq_integral(x_hi) - _sinc_sq_integral(x_lo)) / wt
 
 
 # --- cell probabilities --------------------------------------------------------
@@ -210,17 +204,17 @@ def cell_pfa(beta: float) -> float:
     return math.exp(-beta)
 
 
-def cell_pdet(l_param: float, beta: float,
-              tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Signal cell crossing probability Q1(sqrt(L), sqrt(2 beta))."""
-    if not (math.isfinite(l_param) and l_param >= 0.0):
+def cell_pdet(l_param, beta: float):
+    """Signal cell crossing probability Q1(sqrt(L), sqrt(2 beta)), elementwise
+    over an array of L (scalar in, float out)."""
+    ls = np.asarray(l_param, dtype=np.float64)
+    flat = ls.ravel()
+    if flat.size and not (flat.min() >= 0.0 and flat.max() < math.inf):
         raise ValueError("l_param must be finite and >= 0")
-    if l_param == 0.0:
-        # keep the L = 0 reduction exact to the bit, not just to an ulp
-        return cell_pfa(beta)
-    if not (math.isfinite(beta) and beta >= 0.0):
-        raise ValueError("beta must be finite and >= 0")
-    return marcum_q1(math.sqrt(l_param), math.sqrt(2.0 * beta), tol)
+    pfa = cell_pfa(beta)
+    # keep the L = 0 reduction exact to the bit, not just to an ulp
+    out = np.where(flat == 0.0, pfa, marcum_q1(np.sqrt(flat), math.sqrt(2.0 * beta)))
+    return float(out[0]) if ls.ndim == 0 else out.reshape(ls.shape)
 
 
 @lru_cache(maxsize=64)
@@ -228,30 +222,35 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def _integrate_mean(f, a: float, b: float, tol: ToleranceConfig) -> float:
+# Gauss-Legendre starts at _QUAD_POINTS nodes and doubles them until two
+# orders agree to within the larger of the absolute and relative tolerance
+_QUAD_POINTS = 128
+_QUAD_ABS_TOL = 1e-12
+_QUAD_REL_TOL = 1e-10
+
+
+def _integrate_mean(f, a: float, b: float) -> float:
     """Mean of f over [a, b] by Gauss-Legendre with order doubling.
 
-    f maps an ndarray of abscissas to an ndarray of values.  Doubles the
-    node count until two consecutive orders agree to tolerance.
+    f maps an ndarray of abscissas to an ndarray of values.
     """
     if not b > a:
         raise ValueError("integration interval is empty")
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     prev = None
-    order = tol.quadrature_points
+    order = _QUAD_POINTS
     for _ in range(5):
         x, w = _leggauss(order)
         val = float(np.dot(w, f(mid + half * x))) * 0.5
-        if prev is not None and abs(val - prev) <= max(tol.abs_tol, tol.rel_tol * abs(val)):
+        if prev is not None and abs(val - prev) <= max(_QUAD_ABS_TOL, _QUAD_REL_TOL * abs(val)):
             return val
         prev = val
         order *= 2
     raise ConvergenceError(f"quadrature did not settle on [{a}, {b}]")
 
 
-def cell_pdet_exact(params: SignalParams, grid: DopplerGrid, l: int, beta: float,
-                    tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def cell_pdet_exact(params: SignalParams, grid: DopplerGrid, l: int, beta: float) -> float:
     """Detection probability of an offset-l bin with the residual Doppler
     marginalized exactly by quadrature (reference for the expected-L form)."""
     if int(l) != l or l < 0:
@@ -262,11 +261,11 @@ def cell_pdet_exact(params: SignalParams, grid: DopplerGrid, l: int, beta: float
     lm = l_max_param(params)
 
     def f(xs: np.ndarray) -> np.ndarray:
-        return _marcum_q1_many(lm * sinc(xs) ** 2, beta, tol)
+        return cell_pdet(lm * sinc(xs) ** 2, beta)
 
     x_lo = (2 * l - 1) * wt / 2.0
     x_hi = (2 * l + 1) * wt / 2.0
-    return as_probability(_integrate_mean(f, x_lo, x_hi, tol))
+    return as_probability(_integrate_mean(f, x_lo, x_hi))
 
 
 # --- global probabilities ------------------------------------------------------
@@ -278,59 +277,52 @@ def global_pfa(pfa_cell: float, n: int, k: int) -> float:
     return one_minus_pow_complement(pfa_cell, n * k)
 
 
-def global_pdet_naive(l_correct: float, beta: float, n: int, k: int,
-                      tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def global_pdet_naive(l_correct: float, beta: float, n: int, k: int) -> float:
     """Single-signal-cell model: the search detects iff the first crossing
     is the one correct cell, all K*N cell positions equally likely."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
-    pfa = cell_pfa(beta)
-    pdet = cell_pdet(l_correct, beta, tol)
+    return _naive_value(cell_pdet(l_correct, beta), cell_pfa(beta), n, k)
+
+
+def _naive_value(pdet: float, pfa: float, n: int, k: int) -> float:
     nk = n * k
     return as_probability(one_minus_pow_ratio(pfa, nk) / nk * pdet)
 
 
-def _memo_pdet(compute: Callable[[int], float]) -> Callable[[int], float]:
-    cache: dict[int, float] = {}
-
-    def at(s: int) -> float:
-        if s not in cache:
-            cache[s] = compute(s)
-        return cache[s]
-
-    return at
-
-
-def _profile_pdet_fn(profile: NonCentralityProfile, beta: float,
-                     tol: ToleranceConfig) -> Callable[[int], float]:
-    return _memo_pdet(lambda s: cell_pdet(profile.at_offset(s), beta, tol))
+def _signed_pdet(near: np.ndarray, pfa: float, k: int) -> np.ndarray:
+    """P_det of the bins at signed offsets -(k-1)..k-1 (index s + k - 1)
+    from the correct one, given P_det at offsets 0, 1, ...; bins past those
+    offsets see noise only."""
+    near = near[:k]
+    out = np.full(2 * k - 1, pfa)
+    out[k - 1:k - 1 + near.size] = near
+    out[k - near.size:k] = near[::-1]
+    return out
 
 
-def _accept_sum(pdet_at: Callable[[int], float], bin_noise_factor: float,
-                k: int, m: int) -> float:
+def _accept_sum(pdet: np.ndarray, bin_noise_factor: float, k: int, m: int):
     """Sum over accepted stop offsets q of P_det(L_q) times the probability
     that no earlier-searched bin fired.
 
-    A stop in the bin at offset q with n whole bins searched before it
-    contributes the product over those bins of (miss at their signal cell)
-    times bin_noise_factor (their noise cells staying quiet; 1 when the
-    visiting order has no noise cells before the signal column).  n runs over
-    the positions the correct bin can take: max(0, q) .. min(K, K+q) - 1.
+    pdet holds P_det over the signed offsets -(K-1)..K-1 in its last axis
+    (index s + K - 1); leading axes are batch axes.  A stop in the bin at
+    offset q with n whole bins searched before it contributes the product
+    over those bins of (miss at their signal cell) times bin_noise_factor
+    (their noise cells staying quiet; 1 when the visiting order has no
+    noise cells before the signal column).  n runs over the positions the
+    correct bin can take: max(0, q) .. min(K, K+q) - 1.
     """
+    # miss[..., j] belongs to the bin at offset K - 1 - j, so the bins
+    # searched before a stop at offset q, nearest first, start at j = K - q
+    miss = bin_noise_factor * (1.0 - pdet[..., ::-1])
     total = 0.0
     for q in range(-m, m + 1):
-        n_lo = max(0, q)
-        n_hi = min(k, k + q) - 1
-        if n_hi < n_lo:
-            continue
-        run = 1.0
-        for l in range(1, n_lo + 1):
-            run *= bin_noise_factor * (1.0 - pdet_at(q - l))
-        inner = run
-        for nn in range(n_lo + 1, n_hi + 1):
-            run *= bin_noise_factor * (1.0 - pdet_at(q - nn))
-            inner += run
-        total += pdet_at(q) * inner
+        n_lo, n_hi = max(0, q), min(k, k + q) - 1
+        run = np.cumprod(miss[..., k - q:k - q + n_hi], axis=-1)
+        # run[..., n - 1] is the product over n bins; n = 0 is the empty one
+        inner = run[..., max(n_lo - 1, 0):].sum(axis=-1) + (n_lo == 0)
+        total = total + pdet[..., q + k - 1] * inner
     return total
 
 
@@ -343,31 +335,38 @@ def _check_global_args(k: int, m: int, n: int | None = None) -> None:
         raise ValueError("accept_half_width must be smaller than the bin count")
 
 
-def _code_first_value(pdet_at: Callable[[int], float], pfa: float,
-                      n: int, k: int, m: int) -> float:
+def _code_first_value(pdet: np.ndarray, pfa: float, n: int, k: int, m: int):
     # stop-bin factor: reach the signal cell through its bin's earlier noise
     # cells, averaged over the N positions of the correct phase
     reach = one_minus_pow_ratio(pfa, n) / n
     quiet_noise = (1.0 - pfa) ** (n - 1)
-    return reach / k * _accept_sum(pdet_at, quiet_noise, k, m)
+    return reach / k * _accept_sum(pdet, quiet_noise, k, m)
+
+
+def _doppler_first_value(pdet: np.ndarray, pfa: float, n: int, k: int, m: int):
+    num = one_minus_pow_complement(pfa, k * n)
+    den = one_minus_pow_complement(pfa, k)
+    reach = float(n) if den == 0.0 else num / den
+    return reach / (n * k) * _accept_sum(pdet, 1.0, k, m)
+
+
+def _profile_pdet(profile: NonCentralityProfile, beta: float, k: int) -> np.ndarray:
+    return _signed_pdet(cell_pdet(np.array(profile.values), beta), cell_pfa(beta), k)
 
 
 def global_pdet_code_first(profile: NonCentralityProfile, policy: SearchPolicy,
-                           n: int, k: int,
-                           tol: ToleranceConfig = DEFAULT_TOL) -> float:
+                           n: int, k: int) -> float:
     """Global detection probability when each Doppler bin is searched over
     all code phases before moving to the next bin."""
     beta = policy.require_threshold()
     m = policy.accept_half_width
     _check_global_args(k, m, n)
-    pfa = cell_pfa(beta)
-    pdet_at = _profile_pdet_fn(profile, beta, tol)
-    return as_probability(_code_first_value(pdet_at, pfa, n, k, m))
+    pdet = _profile_pdet(profile, beta, k)
+    return as_probability(_code_first_value(pdet, cell_pfa(beta), n, k, m))
 
 
 def global_pdet_doppler_first(profile: NonCentralityProfile, policy: SearchPolicy,
-                              n: int, k: int,
-                              tol: ToleranceConfig = DEFAULT_TOL) -> float:
+                              n: int, k: int) -> float:
     """Global detection probability when all Doppler bins are searched at
     each code phase before moving to the next phase.
 
@@ -378,28 +377,23 @@ def global_pdet_doppler_first(profile: NonCentralityProfile, policy: SearchPolic
     beta = policy.require_threshold()
     m = policy.accept_half_width
     _check_global_args(k, m, n)
-    pfa = cell_pfa(beta)
-    pdet_at = _profile_pdet_fn(profile, beta, tol)
-    num = one_minus_pow_complement(pfa, k * n)
-    den = one_minus_pow_complement(pfa, k)
-    reach = float(n) if den == 0.0 else num / den
-    return as_probability(reach / (n * k) * _accept_sum(pdet_at, 1.0, k, m))
+    pdet = _profile_pdet(profile, beta, k)
+    return as_probability(_doppler_first_value(pdet, cell_pfa(beta), n, k, m))
 
 
 def global_pdet_approx(profile: NonCentralityProfile, policy: SearchPolicy,
-                       k: int, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+                       k: int) -> float:
     """Search-order-free approximation: valid when K N P_fa << 1, i.e. false
     alarms are rare enough that only signal-cell misses matter."""
     beta = policy.require_threshold()
     m = policy.accept_half_width
     _check_global_args(k, m)
-    pdet_at = _profile_pdet_fn(profile, beta, tol)
-    return as_probability(_accept_sum(pdet_at, 1.0, k, m) / k)
+    pdet = _profile_pdet(profile, beta, k)
+    return as_probability(_accept_sum(pdet, 1.0, k, m) / k)
 
 
 def global_pdet_code_first_exact(params: SignalParams, grid: DopplerGrid,
-                                 policy: SearchPolicy, n: int, l_max: int = 2,
-                                 tol: ToleranceConfig = DEFAULT_TOL) -> float:
+                                 policy: SearchPolicy, n: int, l_max: int = 2) -> float:
     """Code-phase-first global detection probability with the residual
     Doppler marginalized exactly.
 
@@ -407,7 +401,8 @@ def global_pdet_code_first_exact(params: SignalParams, grid: DopplerGrid,
     signed offset s carries the realized non-centrality
     L_max sinc^2((df0 - s W) T_per) (zero beyond l_max); the conditional
     stop probability follows the same accept-sum as the expected-L form and
-    is then averaged over df0 uniform on [-W/2, W/2] by quadrature.
+    is then averaged over df0 uniform on [-W/2, W/2] by quadrature, all
+    nodes and offsets in one evaluation.
     """
     beta = policy.require_threshold()
     m = policy.accept_half_width
@@ -418,22 +413,18 @@ def global_pdet_code_first_exact(params: SignalParams, grid: DopplerGrid,
     pfa = cell_pfa(beta)
     wt = grid.relative_width
     lm = l_max_param(params)
-    offsets = np.arange(-l_max, l_max + 1)
+    # rows quadrature nodes, columns signed offsets; offsets past l_max (or
+    # past the grid) keep the noise-only P_det
+    near = min(l_max, k - 1)
+    offsets = np.arange(-near, near + 1)
 
     def f(xs: np.ndarray) -> np.ndarray:
-        out = np.empty(xs.size)
-        for i, x in enumerate(xs):
-            l_signed = lm * sinc(x - offsets * wt) ** 2
-            pd = _marcum_q1_many(l_signed, beta, tol)
-            table = dict(zip(offsets.tolist(), pd.tolist()))
+        pdet = np.full((xs.size, 2 * k - 1), pfa)
+        pdet[:, k - 1 - near:k + near] = cell_pdet(
+            lm * sinc(xs[:, None] - offsets * wt) ** 2, beta)
+        return _code_first_value(pdet, pfa, n, k, m)
 
-            def pdet_at(s: int) -> float:
-                return table.get(s, pfa)
-
-            out[i] = _code_first_value(pdet_at, pfa, n, k, m)
-        return out
-
-    return as_probability(_integrate_mean(f, -wt / 2.0, wt / 2.0, tol))
+    return as_probability(_integrate_mean(f, -wt / 2.0, wt / 2.0))
 
 
 # --- ROC assembly ---------------------------------------------------------------
@@ -475,21 +466,15 @@ class RocPoint:
     trials: int | None = None
 
 
-@dataclass(frozen=True)
-class RocCurve:
-    grid: DopplerGrid
-    policy: SearchPolicy
-    points: tuple[RocPoint, ...] = field(default_factory=tuple)
-
-
 def roc_curve(params: SignalParams, grid: DopplerGrid, policy: SearchPolicy,
-              betas, n_phases: int = 1023, l_max: int = 2,
-              tol: ToleranceConfig = DEFAULT_TOL) -> RocCurve:
-    """Analytic ROC data over an ascending threshold grid.
+              betas, n_phases: int = 1023, l_max: int = 2) -> tuple[RocPoint, ...]:
+    """Analytic ROC points over an ascending threshold grid.
 
     Cell detection columns always cover offsets 0..2 (expected-L and exact
     quadrature variants); global columns use the profile truncated at l_max.
-    The threshold of `policy` is ignored; each point gets its own.
+    The threshold of `policy` is ignored; each point gets its own.  Per
+    threshold, one evaluation of the expected-L cell P_det serves the cell
+    columns and every global column.
     """
     betas = np.asarray(betas, dtype=np.float64)
     if betas.size == 0:
@@ -497,26 +482,32 @@ def roc_curve(params: SignalParams, grid: DopplerGrid, policy: SearchPolicy,
     if betas.size > 1 and not np.all(np.diff(betas) > 0.0):
         raise ValueError("beta grid must be strictly increasing")
     k = grid.num_bins
-    profile = NonCentralityProfile.expected(params, grid, l_max)
-    cell_l = [expected_noncentrality(params, grid, l, tol) for l in range(3)]
+    m = policy.accept_half_width
+    _check_global_args(k, m, n_phases)
+    if int(l_max) != l_max or l_max < 0:
+        raise ValueError("l_max must be a non-negative integer")
+    ls = np.array([expected_noncentrality(params, grid, l) for l in range(max(3, l_max + 1))])
+    n = n_phases
     points = []
     for beta in betas:
         b = float(beta)
-        pol = SearchPolicy(policy.order, policy.accept_half_width, b)
-        exact = [cell_pdet_exact(params, grid, l, b, tol) for l in range(3)]
+        pfa = cell_pfa(b)
+        pd = cell_pdet(ls, b)
+        signed = _signed_pdet(pd[:l_max + 1], pfa, k)
+        exact = [cell_pdet_exact(params, grid, l, b) for l in range(3)]
         points.append(RocPoint(
             beta=b,
-            p_fa_cell=cell_pfa(b),
-            p_det_cell_l0=cell_pdet(cell_l[0], b, tol),
-            p_det_cell_l1=cell_pdet(cell_l[1], b, tol),
-            p_det_cell_l2=cell_pdet(cell_l[2], b, tol),
+            p_fa_cell=pfa,
+            p_det_cell_l0=float(pd[0]),
+            p_det_cell_l1=float(pd[1]),
+            p_det_cell_l2=float(pd[2]),
             p_det_cell_l0_exact=exact[0],
             p_det_cell_l1_exact=exact[1],
             p_det_cell_l2_exact=exact[2],
-            p_fa_global=global_pfa(cell_pfa(b), n_phases, k),
-            p_det_naive=global_pdet_naive(profile.values[0], b, n_phases, k, tol),
-            p_det_code_first=global_pdet_code_first(profile, pol, n_phases, k, tol),
-            p_det_doppler_first=global_pdet_doppler_first(profile, pol, n_phases, k, tol),
-            p_det_approx=global_pdet_approx(profile, pol, k, tol),
+            p_fa_global=global_pfa(pfa, n, k),
+            p_det_naive=_naive_value(float(pd[0]), pfa, n, k),
+            p_det_code_first=as_probability(_code_first_value(signed, pfa, n, k, m)),
+            p_det_doppler_first=as_probability(_doppler_first_value(signed, pfa, n, k, m)),
+            p_det_approx=as_probability(_accept_sum(signed, 1.0, k, m) / k),
         ))
-    return RocCurve(grid=grid, policy=policy, points=tuple(points))
+    return tuple(points)

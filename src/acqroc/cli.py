@@ -117,9 +117,9 @@ def _cmd_roc(config: ExperimentConfig, out: str) -> int:
     for width in config.bin_widths_hz:
         grid = config.grid(width)
         m = config.m_for(width)
-        curve = roc_curve(params, grid, SearchPolicy(config.order, m), betas,
-                          n_phases=CODE_LENGTH, l_max=config.lmax)
-        rows.extend(_roc_row(width, m, p) for p in curve.points)
+        points = roc_curve(params, grid, SearchPolicy(config.order, m), betas,
+                           n_phases=CODE_LENGTH, l_max=config.lmax)
+        rows.extend(_roc_row(width, m, p) for p in points)
     _write_csv(out, _ROC_HEADER, rows)
     print(f"roc: {len(rows)} rows -> {out}")
     return 0
@@ -132,13 +132,13 @@ def _cmd_simulate(config: ExperimentConfig, out: str, workers: int) -> int:
     for width in config.bin_widths_hz:
         grid = config.grid(width)
         m = config.m_for(width)
-        curve = roc_curve(params, grid, SearchPolicy(config.order, m), betas,
-                          n_phases=CODE_LENGTH, l_max=config.lmax)
+        points = roc_curve(params, grid, SearchPolicy(config.order, m), betas,
+                           n_phases=CODE_LENGTH, l_max=config.lmax)
         sim = SimConfig(trials=int(config.trials), seed=int(config.seed),
                         fidelity=config.fidelity, params=params, grid=grid,
                         policy=SearchPolicy(config.order, m), l_max=config.lmax)
         estimates = monte_carlo_sweep(sim, betas, workers=workers)
-        for point, est in zip(curve.points, estimates):
+        for point, est in zip(points, estimates):
             merged = replace(point, p_det_mc=est.p_det, p_fa_mc=est.p_fa,
                              ci_low=est.p_det_ci[0], ci_high=est.p_det_ci[1],
                              trials=est.trials)

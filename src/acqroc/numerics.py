@@ -1,32 +1,32 @@
-"""Special functions and numerically stable scalar primitives.
+"""Special functions and numerically stable primitives.
 
 Every probability computed by this package bottoms out in four primitives:
 the normalized sinc, the sine integral Si, the first-order Marcum
-Q-function, and complement expressions of the form 1 - (1-p)^n.  They are
-implemented here with explicit accuracy targets (ToleranceConfig) so
-callers can treat the results as exact at the 1e-12 level.
+Q-function, and complement expressions of the form 1 - (1-p)^n.  Their
+series, continued fractions and windows are sized so callers can treat the
+results as exact at the 1e-12 level.
 
-The Marcum function is evaluated through its Poisson-mixture form: with
-A ~ Poisson(a^2/2) and B ~ Poisson(b^2/2) independent,
+The Marcum function is evaluated through its Poisson-mixture form
+(Shnidman, IEEE Trans. IT 1989): with A ~ Poisson(a^2/2) and
+B ~ Poisson(b^2/2) independent,
 
     Q1(a, b) = P[B <= A] = sum_k P[A = k] P[B <= k].
 
-Windowed probability-mass arrays keep every term inside double range, and
-the complementary sum P[B > A] is used when b^2 > a^2 + 4 so that neither
-branch accumulates 1 - eps cancellation.
+One evaluator serves scalars and arrays of a: all the Poisson masses of a
+call share one window of counts and every term stays inside double range.
+P[B <= A] is summed directly when b^2 > a^2 + 4, where it is small, and as
+1 - P[B > A] otherwise, so that neither branch accumulates 1 - eps
+cancellation.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ToleranceConfig",
-    "DEFAULT_TOL",
     "ConvergenceError",
     "ProbabilityRangeError",
     "sinc",
@@ -46,36 +46,25 @@ class ProbabilityRangeError(ArithmeticError):
     """A quantity that must be a probability left [0, 1] by more than slack."""
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Accuracy knobs shared by series, recurrences and quadrature."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_terms: int = 10_000
-    quadrature_points: int = 128
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be strictly positive")
-        if self.max_terms < 16:
-            raise ValueError("max_terms must be >= 16")
-        if self.quadrature_points < 8:
-            raise ValueError("quadrature_points must be >= 8")
-
-
-DEFAULT_TOL = ToleranceConfig()
-
 # Probabilities may overshoot [0, 1] by accumulated roundoff; anything past
 # this slack is treated as a genuine formula bug, not noise.
 _PROB_SLACK = 1e-9
 
 
-def as_probability(x: float, slack: float = _PROB_SLACK) -> float:
-    """Clamp roundoff-sized overshoot into [0, 1]; larger violations raise."""
-    if math.isnan(x) or x < -slack or x > 1.0 + slack:
-        raise ProbabilityRangeError(f"value {x!r} is not a probability")
-    return min(1.0, max(0.0, x))
+def as_probability(x, slack: float = _PROB_SLACK):
+    """Clamp roundoff-sized overshoot into [0, 1]; larger violations raise.
+
+    Scalar in, float out; array in, ndarray out.
+    """
+    # NaN fails every comparison, and makes an array's min and max NaN
+    if np.ndim(x) == 0:
+        if not -slack <= float(x) <= 1.0 + slack:
+            raise ProbabilityRangeError(f"value {x!r} is not a probability")
+        return min(1.0, max(0.0, float(x)))
+    x = np.asarray(x, dtype=np.float64)
+    if x.size and not (x.min() >= -slack and x.max() <= 1.0 + slack):
+        raise ProbabilityRangeError(f"values in [{x.min()}, {x.max()}] are not all probabilities")
+    return np.minimum(np.maximum(x, 0.0), 1.0)
 
 
 def sinc(x):
@@ -94,21 +83,25 @@ def sinc(x):
 # Below the cutoff the alternating Taylor series converges in ~20 terms; above
 # it the continued fraction for E1(ix) converges faster the larger x is.
 _SI_SERIES_CUTOFF = 4.0
+# the Taylor series stops below a quarter of _SI_ABS_TOL; both iterations
+# give up after _SI_MAX_TERMS terms
+_SI_ABS_TOL = 1e-12
+_SI_MAX_TERMS = 10_000
 
 
-def _si_taylor(x: float, tol: ToleranceConfig) -> float:
+def _si_taylor(x: float) -> float:
     # Si(x) = sum_k (-1)^k x^(2k+1) / ((2k+1) (2k+1)!)
     term = x
     total = x
-    for k in range(tol.max_terms):
+    for k in range(_SI_MAX_TERMS):
         term *= -x * x * (2 * k + 1) / ((2 * k + 2) * (2 * k + 3) ** 2)
         total += term
-        if abs(term) <= 0.25 * tol.abs_tol:
+        if abs(term) <= 0.25 * _SI_ABS_TOL:
             return total
     raise ConvergenceError(f"sine_integral series stalled at x={x!r}")
 
 
-def _si_continued_fraction(x: float, tol: ToleranceConfig) -> float:
+def _si_continued_fraction(x: float) -> float:
     # For x > 0:  E1(ix) = -Ci(x) + i (Si(x) - pi/2), so Si(x) = pi/2 + Im E1(ix).
     # E1 via the even-contracted continued fraction evaluated with modified
     # Lentz iteration: E1(z) = e^{-z} / (z + 1 - 1^2/(z + 3 - 2^2/(z + 5 - ...))).
@@ -118,7 +111,7 @@ def _si_continued_fraction(x: float, tol: ToleranceConfig) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, tol.max_terms):
+    for i in range(1, _SI_MAX_TERMS):
         a = -float(i * i)
         b += 2.0
         d = a * d + b
@@ -136,125 +129,110 @@ def _si_continued_fraction(x: float, tol: ToleranceConfig) -> float:
     raise ConvergenceError(f"sine_integral continued fraction stalled at x={x!r}")
 
 
-def sine_integral(x: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def sine_integral(x: float) -> float:
     """Si(x) = integral of sin(t)/t from 0 to x; odd in x by construction."""
     xf = float(x)
     if not math.isfinite(xf):
         raise ValueError("sine_integral requires finite x")
     ax = abs(xf)
     if ax <= _SI_SERIES_CUTOFF:
-        val = _si_taylor(ax, tol)
+        val = _si_taylor(ax)
     else:
-        val = _si_continued_fraction(ax, tol)
+        val = _si_continued_fraction(ax)
     return -val if xf < 0.0 else val
 
 
 # --- Marcum Q ---------------------------------------------------------------
 
-# Window half-width for Poisson mass: 12 sigma + 30 keeps the neglected tails
-# below ~1e-26 relative, far inside the 1e-12 budget.
-def _poisson_window(lam: float) -> tuple[int, int]:
-    spread = 12.0 * math.sqrt(lam) + 30.0
-    lo = max(0, int(math.floor(lam - spread)))
-    hi = int(math.ceil(lam + spread))
-    return lo, hi
+def _stirling_remainder(ks: np.ndarray) -> np.ndarray:
+    """s(k) = lgamma(k + 1) - k log k + k, the slowly varying part of log k!
+    (about log(2 pi k)/2): its Stirling series, exact to double precision
+    from k = 16, and a table below."""
+    k = np.maximum(ks, 16.0)
+    r = 1.0 / (k * k)
+    series = 0.5 * np.log(2.0 * math.pi * k) + (
+        1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r * (1.0 / 1680.0 - r / 1188.0)))) / k
+    return np.where(ks < 16.0, _STIRLING_SMALL[np.minimum(ks, 15.0).astype(np.intp)], series)
 
 
-def _poisson_pmf_window(lam: float) -> tuple[int, np.ndarray]:
-    """Poisson(lam) mass on its central window; returns (k_lo, pmf array)."""
-    if lam <= 0.0:
-        return 0, np.ones(1)
-    k_lo, k_hi = _poisson_window(lam)
-    ks = np.arange(k_lo, k_hi + 1, dtype=np.float64)
-    # Anchor at the window edge via lgamma; the forward cumprod then rises to
-    # the mode and falls again, staying inside double range throughout.
-    log_p0 = k_lo * math.log(lam) - lam - math.lgamma(k_lo + 1.0)
-    ratios = np.empty(ks.size)
-    ratios[0] = 1.0
-    ratios[1:] = lam / ks[1:]
-    return k_lo, math.exp(log_p0) * np.cumprod(ratios)
+_STIRLING_SMALL = np.array([0.0] + [math.lgamma(k + 1.0) - k * math.log(k) + k
+                                    for k in range(1, 16)])
+# s over the counts of every window that ends below 1024, evaluated once
+_STIRLING = _stirling_remainder(np.arange(1024.0))
 
 
-def _poisson_mix(lam_out: float, lam_in: float, shift: int) -> float:
-    """sum_k pmf(k; lam_out) * CDF(k - shift; lam_in) over the outer window."""
-    k_out, p_out = _poisson_pmf_window(lam_out)
-    k_in, p_in = _poisson_pmf_window(lam_in)
-    cdf_in = np.cumsum(p_in)
-    idx = (k_out - shift - k_in) + np.arange(p_out.size)
-    idx = np.clip(idx, -1, cdf_in.size - 1)
-    c = np.where(idx < 0, 0.0, cdf_in[np.maximum(idx, 0)])
-    return float(np.dot(p_out, c))
+def _poisson_pmf(lams: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Poisson(lams[j]) mass at count lo + i, for rates lams >= 1e-280.
+
+    The log mass is taken in the saddle-point form
+    (k - lam) - k log1p((k - lam)/lam) - s(k), whose terms stay small near
+    the mode for any lam, so no large logs cancel.
+    """
+    ks = np.arange(lo, hi + 1, dtype=np.float64)
+    k = ks[:, None]
+    d = k - lams
+    t = d / lams
+    # at k = 0, t = -1 and the k log1p term is 0
+    rest = t[1:] if lo == 0 else t
+    np.log1p(rest, out=rest)
+    t *= k
+    d -= t
+    d -= (_STIRLING[lo:hi + 1] if hi < _STIRLING.size else _stirling_remainder(ks))[:, None]
+    return np.exp(d, out=d)
 
 
-def marcum_q1(a: float, b: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """First-order Marcum Q-function Q1(a, b).
+# counts x rates one shared window may hold; a call whose rates lie further
+# apart is split, by rate, into calls with narrower windows
+_MAX_CELLS = 1 << 21
+
+
+def marcum_q1(a, b: float):
+    """First-order Marcum Q-function Q1(a, b), elementwise over a.
 
     Q1(a, b) = P[2|X|^2 > b^2] where 2|X|^2 is non-central chi-squared with
-    2 degrees of freedom and non-centrality a^2.  Stable for a, b well past
-    50 thanks to the windowed Poisson-mixture evaluation (module docstring).
+    2 degrees of freedom and non-centrality a^2.  a is a scalar or an array
+    (a float or an ndarray of a's shape comes back), b a scalar.  Stable for
+    a, b well past 50 thanks to the windowed Poisson-mixture evaluation
+    (module docstring); a = 0 gives exp(-b^2/2) to the bit.
     """
-    for name, v in (("a", a), ("b", b)):
-        if not math.isfinite(v) or v < 0.0:
-            raise ValueError(f"marcum_q1 requires finite non-negative {name}")
-    lam_sig = 0.5 * a * a
-    lam_thr = 0.5 * b * b
-    if lam_thr == 0.0:
-        return 1.0
-    if lam_sig == 0.0:
-        return math.exp(-lam_thr)
-    if b * b > a * a + 4.0:
-        return as_probability(_poisson_mix(lam_sig, lam_thr, shift=0))
-    return as_probability(1.0 - _poisson_mix(lam_thr, lam_sig, shift=1))
-
-
-_LGAMMA_TABLE = np.zeros(1)
-
-
-def _lgamma_table(k_hi: int) -> np.ndarray:
-    """lgamma(k + 1) for k = 0..k_hi, grown and cached on demand."""
-    global _LGAMMA_TABLE
-    if _LGAMMA_TABLE.size <= k_hi:
-        n = max(k_hi + 1, 2 * _LGAMMA_TABLE.size)
-        _LGAMMA_TABLE = np.array([math.lgamma(k + 1.0) for k in range(n)])
-    return _LGAMMA_TABLE[: k_hi + 1]
-
-
-def _marcum_q1_many(l_params: np.ndarray, beta: float,
-                    tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Q1(sqrt(L_i), sqrt(2 beta)) for an array of non-centralities.
-
-    Same Poisson-mixture sums as marcum_q1 but vectorized over the signal
-    non-centrality with one shared index window starting at zero; intended
-    for quadrature integrands where L is bounded by the peak non-centrality.
-    """
-    lam_sig = 0.5 * np.asarray(l_params, dtype=np.float64)
-    lam_thr = float(beta)
-    if lam_thr == 0.0:
-        return np.ones_like(lam_sig)
-    lam_top = float(lam_sig.max(initial=0.0))
-    if lam_top > 1e4:
-        # shared zero-based window would be wasteful; fall back to scalars
-        return np.array([
-            marcum_q1(math.sqrt(2.0 * ls), math.sqrt(2.0 * lam_thr), tol)
-            for ls in lam_sig
-        ])
-    k_hi = max(_poisson_window(lam_top)[1], _poisson_window(lam_thr)[1])
-    ks = np.arange(k_hi + 1, dtype=np.float64)
-    lgam = _lgamma_table(k_hi)
-    pm_thr = np.exp(ks * math.log(lam_thr) - lam_thr - lgam)
-    cdf_thr = np.cumsum(pm_thr)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_sig = ks[None, :] * np.log(lam_sig[:, None]) - lam_sig[:, None] - lgam[None, :]
-    pm_sig = np.exp(log_sig)
-    zero = lam_sig == 0.0
-    if zero.any():
-        pm_sig[zero] = 0.0
-        pm_sig[zero, 0] = 1.0
-    cdf_sig = np.cumsum(pm_sig, axis=1)
-    q_direct = pm_sig @ cdf_thr
-    p_comp = cdf_sig[:, :-1] @ pm_thr[1:]
-    out = np.where(2.0 * lam_thr > 2.0 * lam_sig + 4.0, q_direct, 1.0 - p_comp)
-    return np.clip(out, 0.0, 1.0)
+    bf = float(b)
+    if not math.isfinite(bf) or bf < 0.0:
+        raise ValueError("marcum_q1 requires finite non-negative b")
+    av = np.asarray(a, dtype=np.float64)
+    flat = av.ravel()
+    a_lo, a_hi = (float(flat.min()), float(flat.max())) if flat.size else (0.0, 0.0)
+    if not (a_lo >= 0.0 and a_hi < math.inf):
+        raise ValueError("marcum_q1 requires finite non-negative a")
+    lam_thr = 0.5 * bf * bf
+    if flat.size == 0 or lam_thr == 0.0:
+        out = np.ones(flat.shape)
+    else:
+        lam_sig = 0.5 * flat * flat
+        # every mass lives on lam +/- (12 sqrt(lam) + 30), dropping tails below
+        # ~1e-26 relative; the lower edge is negative up to lam ~ 200 and rises
+        # beyond, so the extreme rates' windows span all the others
+        lam_lo, lam_hi = min(0.5 * a_lo * a_lo, lam_thr), max(0.5 * a_hi * a_hi, lam_thr)
+        lo = max(0, math.floor(lam_lo - 12.0 * math.sqrt(lam_lo) - 30.0))
+        hi = math.ceil(lam_hi + 12.0 * math.sqrt(lam_hi) + 30.0)
+        if (hi - lo) * flat.size > _MAX_CELLS and flat.size > 1:
+            out = np.empty(flat.size)
+            for part in np.array_split(np.argsort(flat), 2):
+                out[part] = marcum_q1(flat[part], bf)
+            return out.reshape(av.shape)
+        # a floor of 1e-280 keeps (k - lam)/lam finite; a = 0 is set below
+        pm = _poisson_pmf(np.maximum(np.append(lam_sig, lam_thr), 1e-280), lo, hi)
+        pm_thr = pm[:, -1]
+        # rows P[B <= k] and P[B > k]
+        cdf = np.empty((2, hi - lo + 1))
+        np.cumsum(pm_thr, out=cdf[0])
+        np.cumsum(pm_thr[:0:-1], out=cdf[1, -2::-1])
+        cdf[1, -1] = 0.0
+        le, gt = cdf @ pm[:, :-1]
+        # P[B <= A] directly where it is small, else 1 - P[B > A]
+        out = np.where(lam_thr > lam_sig + 2.0, le, 1.0 - gt)
+        out[lam_sig == 0.0] = math.exp(-lam_thr)
+        out = as_probability(out)
+    return float(out[0]) if av.ndim == 0 else out.reshape(av.shape)
 
 
 # --- complement powers --------------------------------------------------------

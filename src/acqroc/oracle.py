@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import NonCentralityProfile, SearchOrder, cell_pdet, cell_pfa
-from .numerics import DEFAULT_TOL, ToleranceConfig
 
 __all__ = ["CellProbabilityGrid", "stop_distribution", "averaged_detection"]
 
@@ -77,8 +76,7 @@ def _placement_grid(pdet_by_offset: np.ndarray, pfa: float, k: int, n: int,
 
 
 def averaged_detection(profile: NonCentralityProfile, beta: float, k: int, n: int,
-                       m_accept: int, order: SearchOrder,
-                       tol: ToleranceConfig = DEFAULT_TOL) -> float:
+                       m_accept: int, order: SearchOrder) -> float:
     """Detection probability averaged over all K*N equally likely placements
     of the correct cell, each evaluated by exact enumeration.
 
@@ -93,8 +91,7 @@ def averaged_detection(profile: NonCentralityProfile, beta: float, k: int, n: in
         raise ValueError("m_accept must satisfy 0 <= m_accept < k")
     pfa = cell_pfa(beta)
     # offsets 0..k-1 suffice: no placement can see a larger one
-    pdet_by_offset = np.array([cell_pdet(profile.at_offset(s), beta, tol)
-                               for s in range(k)])
+    pdet_by_offset = cell_pdet(np.array([profile.at_offset(s) for s in range(k)]), beta)
     total = 0.0
     for cb in range(k):
         for cp in range(n):

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -54,7 +54,6 @@ __all__ = [
     "draw_metric",
     "run_metric_trial",
     "run_waveform_trial",
-    "monte_carlo",
     "monte_carlo_sweep",
     "wilson_interval",
     "dirichlet_kernel",
@@ -189,14 +188,19 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
 
 # --- elementary draws -----------------------------------------------------------
 
-def draw_metric(l_param: float, rng: np.random.Generator, size=None):
-    """One cell decision metric |X|^2 with X = sqrt(L/2) e^{j psi} + n,
+def draw_metric(l_param, rng: np.random.Generator, size=None):
+    """Cell decision metrics |X|^2 with X = sqrt(L/2) e^{j psi} + n,
     psi uniform and n complex Gaussian with per-component variance 1/2;
     2|X|^2 is then non-central chi-squared with 2 dof and non-centrality L.
+    An array L gives one metric per entry (drawn as all psi, then both noise
+    components); a scalar L without size gives one float.
     """
-    if not (math.isfinite(l_param) and l_param >= 0.0):
+    ls = np.asarray(l_param, dtype=np.float64)
+    if not (np.isfinite(ls).all() and (ls >= 0.0).all()):
         raise ValueError("l_param must be finite and >= 0")
-    amp = math.sqrt(0.5 * l_param)
+    if size is None and ls.ndim:
+        size = ls.shape
+    amp = np.sqrt(0.5 * ls)
     psi = rng.uniform(0.0, 2.0 * math.pi, size)
     g1 = rng.standard_normal(size)
     g2 = rng.standard_normal(size)
@@ -213,7 +217,9 @@ def _exp_block_max(rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
     out = np.full(counts.shape, -np.inf)
     pos = counts > 0
     with np.errstate(divide="ignore"):
-        out[pos] = -np.log1p(-np.exp(np.log(u[pos]) / counts[pos]))
+        # 1 - u^(1/n) as -expm1: for u near 1 the power sits within an ulp
+        # of 1, where 1 - exp(y) would keep only its first few digits
+        out[pos] = -np.log(-np.expm1(np.log(u[pos]) / counts[pos]))
     return out
 
 
@@ -349,23 +355,10 @@ def run_waveform_trial(config: SimConfig, waveform: WaveformConfig,
     """One serial search with metrics produced by the synthesized chain,
     using a fresh noise realization for every Doppler bin."""
     beta = config.policy.require_threshold()
-    k, n = config.grid.num_bins, CODE_LENGTH
-    n_high = waveform.samples_per_period(config.params.t_per)
-    r = n_high // n
-    cb = int(rng.integers(0, k))
-    cp = int(rng.integers(0, n))
-    df0 = float(rng.uniform(-config.grid.bin_width_hz / 2.0, config.grid.bin_width_hz / 2.0))
-    theta = rng.uniform(0.0, 2.0 * math.pi, 1)
-    centers = _bin_centers(config.grid)
-    fd = np.array([centers[cb] + df0])
-    csig = _code_rows(waveform.prn_signal, np.array([cp]), r)
-    search_fft = np.fft.fft(generate_ca_code(waveform.search_prn(True)).chips.astype(np.float64))
-    metrics = np.empty((k, n))
-    for b in range(k):
-        base = _synth_bin(config.params, waveform, rng, csig, fd, float(centers[b]), theta)
-        metrics[b] = _correlate_all_phases(base, search_fft)[0]
-    stop = _serial_search(metrics, config.policy.order, beta)
-    return _classify(stop, cb, cp, config.policy.accept_half_width)
+    cb, cp, powers = _waveform_batch(rng, 1, replace(config, waveform=waveform),
+                                     detection_run=True)
+    stop = _serial_search(np.concatenate(list(powers)), config.policy.order, beta)
+    return _classify(stop, int(cb[0]), int(cp[0]), config.policy.accept_half_width)
 
 
 # --- batched recording ----------------------------------------------------------
@@ -389,25 +382,23 @@ def _record_metric_batch(rng: np.random.Generator, nb: int,
     cb = rng.integers(0, k, nb)
     cp = rng.integers(0, n, nb)
     df0 = rng.uniform(-grid.bin_width_hz / 2.0, grid.bin_width_hz / 2.0, nb)
-    lvals = _realized_l(config.params, grid, config.l_max, cb, df0)
-    psi = rng.uniform(0.0, 2.0 * math.pi, (nb, k))
-    g1 = rng.standard_normal((nb, k))
-    g2 = rng.standard_normal((nb, k))
-    amp = np.sqrt(0.5 * lvals)
-    sig = ((amp * np.cos(psi) + math.sqrt(0.5) * g1) ** 2
-           + (amp * np.sin(psi) + math.sqrt(0.5) * g2) ** 2)
+    sig = draw_metric(_realized_l(config.params, grid, config.l_max, cb, df0), rng)
     pre = _exp_block_max(rng, np.broadcast_to(cp[:, None], (nb, k)))
     post = _exp_block_max(rng, np.broadcast_to((n - 1 - cp)[:, None], (nb, k)))
     return _Records(cb=cb, sig=sig, pre=pre, post=post)
 
 
-def _record_waveform_batch(rng: np.random.Generator, nb: int,
-                           config: SimConfig) -> _Records:
+def _waveform_batch(rng: np.random.Generator, nb: int, config: SimConfig,
+                    detection_run: bool):
+    """The trial setup shared by every waveform-level search: draws nb
+    trials' correct bins cb, phases cp, residual Dopplers and carrier phases
+    (in that order) and returns (cb, cp, powers), where powers yields each
+    Doppler bin's |X|^2 at every code phase (rows trials), drawing that
+    bin's noise as it is reached."""
     wf = config.waveform
     grid = config.grid
     k, n = grid.num_bins, CODE_LENGTH
-    n_high = wf.samples_per_period(config.params.t_per)
-    r = n_high // n
+    r = wf.samples_per_period(config.params.t_per) // n
     cb = rng.integers(0, k, nb)
     cp = rng.integers(0, n, nb)
     df0 = rng.uniform(-grid.bin_width_hz / 2.0, grid.bin_width_hz / 2.0, nb)
@@ -415,17 +406,29 @@ def _record_waveform_batch(rng: np.random.Generator, nb: int,
     centers = _bin_centers(grid)
     fd = centers[cb] + df0
     csig = _code_rows(wf.prn_signal, cp, r)
-    search_fft = np.fft.fft(generate_ca_code(wf.search_prn(True)).chips.astype(np.float64))
-    phases = np.arange(n)[None, :]
+    search_fft = np.fft.fft(
+        generate_ca_code(wf.search_prn(detection_run)).chips.astype(np.float64))
+
+    def powers():
+        for b in range(k):
+            base = _synth_bin(config.params, wf, rng, csig, fd, float(centers[b]), theta)
+            yield _correlate_all_phases(base, search_fft)
+
+    return cb, cp, powers()
+
+
+def _record_waveform_batch(rng: np.random.Generator, nb: int,
+                           config: SimConfig) -> _Records:
+    k = config.grid.num_bins
+    cb, cp, powers = _waveform_batch(rng, nb, config, detection_run=True)
+    phases = np.arange(CODE_LENGTH)[None, :]
     is_pre = phases < cp[:, None]
     is_post = phases > cp[:, None]
     sig = np.empty((nb, k))
     pre = np.empty((nb, k))
     post = np.empty((nb, k))
     rows = np.arange(nb)
-    for b in range(k):
-        base = _synth_bin(config.params, wf, rng, csig, fd, float(centers[b]), theta)
-        p = _correlate_all_phases(base, search_fft)
+    for b, p in enumerate(powers):
         sig[:, b] = p[rows, cp]
         pre[:, b] = np.where(is_pre, p, -np.inf).max(axis=1)
         post[:, b] = np.where(is_post, p, -np.inf).max(axis=1)
@@ -436,25 +439,11 @@ def _record_fa_batch(rng: np.random.Generator, nb: int,
                      config: SimConfig) -> np.ndarray:
     """Global metric maximum per signal-free trial (search code does not
     match the transmitted one)."""
-    grid = config.grid
-    k, n = grid.num_bins, CODE_LENGTH
     if config.fidelity is Fidelity.METRIC_LEVEL:
-        return _exp_block_max(rng, np.full(nb, k * n))
-    wf = config.waveform
-    n_high = wf.samples_per_period(config.params.t_per)
-    r = n_high // n
-    cb = rng.integers(0, k, nb)
-    cp = rng.integers(0, n, nb)
-    df0 = rng.uniform(-grid.bin_width_hz / 2.0, grid.bin_width_hz / 2.0, nb)
-    theta = rng.uniform(0.0, 2.0 * math.pi, nb)
-    centers = _bin_centers(grid)
-    fd = centers[cb] + df0
-    csig = _code_rows(wf.prn_signal, cp, r)
-    search_fft = np.fft.fft(generate_ca_code(wf.search_prn(False)).chips.astype(np.float64))
+        return _exp_block_max(rng, np.full(nb, config.grid.num_bins * CODE_LENGTH))
+    _, _, powers = _waveform_batch(rng, nb, config, detection_run=False)
     gmax = np.full(nb, -np.inf)
-    for b in range(k):
-        base = _synth_bin(config.params, wf, rng, csig, fd, float(centers[b]), theta)
-        p = _correlate_all_phases(base, search_fft)
+    for p in powers:
         gmax = np.maximum(gmax, p.max(axis=1))
     return gmax
 
@@ -489,9 +478,7 @@ def _count_detection(rec: _Records, order: SearchOrder, betas: np.ndarray,
                      k: int) -> tuple[np.ndarray, np.ndarray]:
     """Difference-array counts: correct-phase stops per (offset, beta index)
     and any-stop counts per beta index."""
-    nbeta = betas.size
-    hist = np.zeros((2 * k - 1, nbeta + 1), dtype=np.int64)
-    stops = np.zeros(nbeta + 1, dtype=np.int64)
+    hist = np.zeros((2 * k - 1, betas.size + 1), dtype=np.int64)
     lo, hi, gmax = _detection_intervals(rec, order)
     for b in range(k):
         i_lo = np.searchsorted(betas, lo[:, b], side="left")
@@ -502,10 +489,7 @@ def _count_detection(rec: _Records, order: SearchOrder, betas: np.ndarray,
         off_idx = (b - rec.cb[valid]) + (k - 1)
         np.add.at(hist, (off_idx, i_lo[valid]), 1)
         np.add.at(hist, (off_idx, i_hi[valid]), -1)
-    i_g = np.searchsorted(betas, gmax, side="left")
-    np.add.at(stops, 0, np.count_nonzero(i_g > 0))
-    np.add.at(stops, i_g[i_g > 0], -1)
-    return hist, stops
+    return hist, _count_stops(gmax, betas)
 
 
 def _count_stops(gmax: np.ndarray, betas: np.ndarray) -> np.ndarray:
@@ -595,7 +579,3 @@ def monte_carlo_sweep(config: SimConfig, betas, workers: int = 1) -> list[McEsti
         ))
     return out
 
-
-def monte_carlo(config: SimConfig, workers: int = 1) -> McEstimate:
-    """Estimates at the single threshold carried by config.policy."""
-    return monte_carlo_sweep(config, [config.policy.require_threshold()], workers)[0]

@@ -126,7 +126,7 @@ def _check_invariants(config: ExperimentConfig) -> CheckResult:
                                        1023, k) for m in range(min(k, 3))]
         if any(a > b + 1e-15 for a, b in zip(vals, vals[1:])):
             problems.append(f"P_det not monotone in M at W={width}")
-    pdets = [cell_pdet(l, 8.0) for l in np.linspace(0.0, 25.0, 26)]
+    pdets = cell_pdet(np.linspace(0.0, 25.0, 26), 8.0)
     if any(a > b + 1e-15 for a, b in zip(pdets, pdets[1:])):
         problems.append("cell P_det not monotone in L")
     if problems:

@@ -277,11 +277,11 @@ class TestBetaGridAndRoc:
     def test_roc_curve_structure(self):
         grid = _grid(1000.0)
         betas = default_beta_grid()[::10]
-        curve = roc_curve(PARAMS, grid, SearchPolicy(SearchOrder.CODE_PHASE_FIRST, 1), betas)
-        assert len(curve.points) == betas.size
-        pfas = [p.p_fa_global for p in curve.points]
+        points = roc_curve(PARAMS, grid, SearchPolicy(SearchOrder.CODE_PHASE_FIRST, 1), betas)
+        assert isinstance(points, tuple) and len(points) == betas.size
+        pfas = [p.p_fa_global for p in points]
         assert all(a >= b for a, b in zip(pfas, pfas[1:]))
-        for p in curve.points:
+        for p in points:
             for name in ("p_fa_cell", "p_det_cell_l0", "p_det_cell_l1", "p_det_cell_l2",
                          "p_det_cell_l0_exact", "p_det_cell_l1_exact", "p_det_cell_l2_exact",
                          "p_fa_global", "p_det_naive", "p_det_code_first",

@@ -10,14 +10,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ncx2
 
 from acqroc.numerics import (
-    DEFAULT_TOL,
     ConvergenceError,
     ProbabilityRangeError,
-    ToleranceConfig,
-    _marcum_q1_many,
     as_probability,
     marcum_q1,
     one_minus_pow_complement,
@@ -137,11 +136,45 @@ class TestMarcumQ1:
             marcum_q1(1.0, math.nan)
 
     def test_vectorized_matches_scalar(self):
-        ls = np.array([0.0, 0.3, 2.0, 8.4291, 18.69, 20.0, 45.0])
-        for beta in (0.7, 5.0, 10.2, 18.0):
-            many = _marcum_q1_many(ls, beta)
-            one = np.array([marcum_q1(math.sqrt(l), math.sqrt(2.0 * beta)) for l in ls])
-            np.testing.assert_allclose(many, one, rtol=0, atol=5e-15)
+        # array input against scipy, with L = 0 entries and non-centralities
+        # past 1e4 in the same call as ordinary ones
+        ls = np.array([0.0, 0.3, 2.0, 8.4291, 18.69, 20.0, 45.0, 0.0,
+                       2.02e4, 2.1e4, 2.5e4, 3.0e4])
+        for beta in (0.7, 5.0, 10.2, 18.0, 1.0e4, 1.05e4, 1.25e4, 1.5e4):
+            b = math.sqrt(2.0 * beta)
+            many = marcum_q1(np.sqrt(ls), b)
+            assert many.shape == ls.shape
+            for l, got in zip(ls, many):
+                ref = float(ncx2.sf(b * b, 2, l)) if l > 0.0 else math.exp(-b * b / 2.0)
+                assert got == pytest.approx(ref, abs=2e-13, rel=5e-12), (l, beta)
+            assert many[0] == many[7] == math.exp(-b * b / 2.0)
+        grid = np.array([[0.0, 1.5], [3.0, 9.0]])
+        assert marcum_q1(grid, 2.0).shape == (2, 2)
+        assert marcum_q1(np.array([]), 2.0).shape == (0,)
+
+    def test_widely_spread_arguments_split_their_window(self):
+        # non-centralities from 0 to 8e4 in one call: one shared count window
+        # would hold ~3e5 counts per entry, so the call is split by size
+        ls = np.linspace(0.0, 8.0e4, 300)
+        for beta in (3.0, 2.0e4):
+            b = math.sqrt(2.0 * beta)
+            many = marcum_q1(np.sqrt(ls), b)
+            for l, got in zip(ls, many):
+                ref = float(ncx2.sf(b * b, 2, l)) if l > 0.0 else math.exp(-b * b / 2.0)
+                assert got == pytest.approx(ref, abs=2e-13, rel=5e-12), (l, beta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=8),
+           b=st.floats(0.0, 40.0), da=st.floats(0.0, 5.0), db=st.floats(0.0, 5.0))
+    def test_array_property(self, a, b, da, db):
+        a = np.array(a)
+        many = marcum_q1(a, b)
+        one = np.array([marcum_q1(float(x), b) for x in a])
+        np.testing.assert_allclose(many, one, rtol=1e-13, atol=1e-15)
+        assert np.all((many >= 0.0) & (many <= 1.0))
+        # non-decreasing in a, non-increasing in b, up to roundoff
+        assert np.all(marcum_q1(a + da, b) >= many - 1e-14)
+        assert np.all(marcum_q1(a, b + db) <= many + 1e-14)
 
 
 class TestOneMinusPow:
@@ -190,18 +223,6 @@ class TestAsProbability:
             as_probability(math.nan)
 
 
-class TestToleranceConfig:
-    def test_defaults_are_sane(self):
-        assert DEFAULT_TOL.abs_tol <= 1e-10
-        assert DEFAULT_TOL.max_terms >= 1000
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            ToleranceConfig(abs_tol=-1e-12)
-        with pytest.raises(ValueError):
-            ToleranceConfig(max_terms=0)
-        with pytest.raises(ValueError):
-            ToleranceConfig(quadrature_points=3)
-
+class TestErrorTypes:
     def test_convergence_error_is_raisable(self):
         assert issubclass(ConvergenceError, ArithmeticError)

@@ -3,6 +3,7 @@ bookkeeping invariants, and reproducibility guarantees."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,8 +24,8 @@ from acqroc.simulator import (
     Classification,
     Fidelity,
     SimConfig,
+    _exp_block_max,
     draw_metric,
-    monte_carlo,
     monte_carlo_sweep,
     run_metric_trial,
     wilson_interval,
@@ -95,10 +96,40 @@ class TestDrawMetric:
         v = draw_metric(3.0, rng)
         assert isinstance(v, float) and v >= 0.0
 
+    def test_array_noncentrality_draws_like_sized_scalar(self):
+        ls = np.full((3, 4), 6.5)
+        a = draw_metric(ls, np.random.Generator(np.random.Philox(11)))
+        b = draw_metric(6.5, np.random.Generator(np.random.Philox(11)), (3, 4))
+        assert a.shape == (3, 4)
+        np.testing.assert_array_equal(a, b)
+
     def test_rejects_bad_noncentrality(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             draw_metric(-1.0, rng)
+
+
+class TestBlockMaximum:
+    class _FixedUniforms:
+        """Stands in for the generator: hands out the given u values."""
+
+        def __init__(self, u):
+            self.u = np.asarray(u, dtype=np.float64)
+
+        def random(self, shape):
+            return np.broadcast_to(self.u, shape).copy()
+
+    def test_inverse_cdf_matches_mpmath_near_one(self):
+        # the false-alarm block size at W = 1000 Hz; u this close to 1 puts
+        # u^(1/n) within a few ulps of 1.  The last block is empty.
+        n = 10230
+        us = [0.5, 0.99, 1.0 - 1e-6, 1.0 - 1e-8, 1.0 - 1e-10, 0.3]
+        got = _exp_block_max(self._FixedUniforms(us), np.array([n] * 5 + [0]))
+        assert got[-1] == -np.inf
+        with mpmath.workdps(50):
+            for u, x in zip(us[:-1], got):
+                want = float(-mpmath.log(1 - mpmath.mpf(u) ** (mpmath.mpf(1) / n)))
+                assert abs(x - want) <= 1e-12 * want, u
 
 
 class TestSingleTrial:
@@ -214,7 +245,3 @@ class TestReproducibility:
         a = monte_carlo_sweep(_config(trials=5000, seed=1), betas)
         b = monte_carlo_sweep(_config(trials=5000, seed=2), betas)
         assert a != b
-
-    def test_single_threshold_wrapper(self):
-        cfg = _config(trials=3000, threshold=9.0)
-        assert monte_carlo(cfg) == monte_carlo_sweep(cfg, [9.0])[0]
