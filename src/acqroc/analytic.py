@@ -204,17 +204,18 @@ def cell_pfa(beta: float) -> float:
     return math.exp(-beta)
 
 
-def cell_pdet(l_param, beta: float):
-    """Signal cell crossing probability Q1(sqrt(L), sqrt(2 beta)), elementwise
-    over an array of L (scalar in, float out)."""
+def cell_pdet(l_param, beta):
+    """Signal cell crossing probability Q1(sqrt(L), sqrt(2 beta)), with an
+    array of beta broadcast against L as in marcum_q1 (float for scalars)."""
     ls = np.asarray(l_param, dtype=np.float64)
-    flat = ls.ravel()
-    if flat.size and not (flat.min() >= 0.0 and flat.max() < math.inf):
+    if ls.size and not (ls.min() >= 0.0 and ls.max() < math.inf):
         raise ValueError("l_param must be finite and >= 0")
-    pfa = cell_pfa(beta)
+    bs = np.asarray(beta, dtype=np.float64)
+    pfa = (cell_pfa(float(bs)) if bs.ndim == 0 else
+           np.array([cell_pfa(b) for b in bs.ravel().tolist()]).reshape(bs.shape))
     # keep the L = 0 reduction exact to the bit, not just to an ulp
-    out = np.where(flat == 0.0, pfa, marcum_q1(np.sqrt(flat), math.sqrt(2.0 * beta)))
-    return float(out[0]) if ls.ndim == 0 else out.reshape(ls.shape)
+    out = np.where(ls == 0.0, pfa, marcum_q1(np.sqrt(ls), np.sqrt(2.0 * bs)))
+    return float(out) if out.ndim == 0 else out
 
 
 @lru_cache(maxsize=64)
@@ -229,43 +230,61 @@ _QUAD_ABS_TOL = 1e-12
 _QUAD_REL_TOL = 1e-10
 
 
-def _integrate_mean(f, a: float, b: float) -> float:
-    """Mean of f over [a, b] by Gauss-Legendre with order doubling.
+def _integrate_mean(f, half: float):
+    """Mean of f over [-half, half] by Gauss-Legendre with order doubling.
 
-    f maps an ndarray of abscissas to an ndarray of values.
+    f maps an ndarray of abscissas to an array whose last axis runs over
+    them.  Each element of the mean is taken at the first order that agrees
+    with the order before it.
     """
-    if not b > a:
-        raise ValueError("integration interval is empty")
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    prev = None
+    prev, out, done = None, 0.0, np.False_
     order = _QUAD_POINTS
     for _ in range(5):
         x, w = _leggauss(order)
-        val = float(np.dot(w, f(mid + half * x))) * 0.5
-        if prev is not None and abs(val - prev) <= max(_QUAD_ABS_TOL, _QUAD_REL_TOL * abs(val)):
-            return val
+        val = (f(half * x) @ w) * 0.5
+        if prev is not None:
+            settle = ~done & (np.abs(val - prev)
+                              <= np.maximum(_QUAD_ABS_TOL, _QUAD_REL_TOL * np.abs(val)))
+            out, done = np.where(settle, val, out), done | settle
+            if done.all():
+                return out
         prev = val
         order *= 2
-    raise ConvergenceError(f"quadrature did not settle on [{a}, {b}]")
+    raise ConvergenceError(f"quadrature did not settle on [-{half}, {half}]")
 
 
-def cell_pdet_exact(params: SignalParams, grid: DopplerGrid, l: int, beta: float) -> float:
-    """Detection probability of an offset-l bin with the residual Doppler
-    marginalized exactly by quadrature (reference for the expected-L form)."""
-    if int(l) != l or l < 0:
-        raise ValueError("offset l must be a non-negative integer")
-    if not (math.isfinite(beta) and beta >= 0.0):
-        raise ValueError("beta must be finite and >= 0")
+def _residual_doppler_mean(params: SignalParams, grid: DopplerGrid, beta,
+                           offsets: np.ndarray, reduce=None):
+    """The exact marginalization over the residual Doppler behind every
+    exact form.  Given the residual Doppler df0 of the correct bin, uniform
+    on [-W/2, W/2], the bin at signed offset s carries the non-centrality
+    L_max sinc^2((df0 - s W) T_per).  Per quadrature order, one evaluator
+    call gives P_det with axes (beta..., node, offset) for the thresholds
+    beta and the signed `offsets`; the mean over df0 of that array (axes
+    beta..., offset) or of `reduce` of it (axes beta..., node) comes back.
+    """
     wt = grid.relative_width
     lm = l_max_param(params)
+    betas = np.asarray(beta, dtype=np.float64)
+    if betas.ndim:
+        betas = betas[..., None, None]
 
     def f(xs: np.ndarray) -> np.ndarray:
-        return cell_pdet(lm * sinc(xs) ** 2, beta)
+        pdet = cell_pdet(lm * sinc(xs[:, None] - offsets * wt) ** 2, betas)
+        return np.moveaxis(pdet, -2, -1) if reduce is None else reduce(pdet)
 
-    x_lo = (2 * l - 1) * wt / 2.0
-    x_hi = (2 * l + 1) * wt / 2.0
-    return as_probability(_integrate_mean(f, x_lo, x_hi))
+    return _integrate_mean(f, wt / 2.0)
+
+
+def cell_pdet_exact(params: SignalParams, grid: DopplerGrid, l: int, beta):
+    """Detection probability of an offset-l bin with the residual Doppler
+    marginalized exactly by quadrature (reference for the expected-L form).
+
+    beta is a scalar (float out) or an array (ndarray of its shape out).
+    """
+    if int(l) != l or l < 0:
+        raise ValueError("offset l must be a non-negative integer")
+    return as_probability(_residual_doppler_mean(params, grid, beta, np.array([l]))[..., 0])
 
 
 # --- global probabilities ------------------------------------------------------
@@ -290,14 +309,13 @@ def _naive_value(pdet: float, pfa: float, n: int, k: int) -> float:
     return as_probability(one_minus_pow_ratio(pfa, nk) / nk * pdet)
 
 
-def _signed_pdet(near: np.ndarray, pfa: float, k: int) -> np.ndarray:
+def _signed_pdet(pdet: np.ndarray, pfa: float, k: int) -> np.ndarray:
     """P_det of the bins at signed offsets -(k-1)..k-1 (index s + k - 1)
-    from the correct one, given P_det at offsets 0, 1, ...; bins past those
-    offsets see noise only."""
-    near = near[:k]
-    out = np.full(2 * k - 1, pfa)
-    out[k - 1:k - 1 + near.size] = near
-    out[k - near.size:k] = near[::-1]
+    from the correct one, given P_det at -near..near (near < k) in the last
+    axis of pdet; bins further out see noise only."""
+    near = pdet.shape[-1] // 2
+    out = np.full(pdet.shape[:-1] + (2 * k - 1,), pfa)
+    out[..., k - 1 - near:k + near] = pdet
     return out
 
 
@@ -326,13 +344,15 @@ def _accept_sum(pdet: np.ndarray, bin_noise_factor: float, k: int, m: int):
     return total
 
 
-def _check_global_args(k: int, m: int, n: int | None = None) -> None:
+def _check_global_args(k: int, m: int, n: int | None = None, l_max: int = 0) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
     if n is not None and n < 1:
         raise ValueError("n must be >= 1")
     if m >= k:
         raise ValueError("accept_half_width must be smaller than the bin count")
+    if int(l_max) != l_max or l_max < 0:
+        raise ValueError("l_max must be a non-negative integer")
 
 
 def _code_first_value(pdet: np.ndarray, pfa: float, n: int, k: int, m: int):
@@ -351,7 +371,9 @@ def _doppler_first_value(pdet: np.ndarray, pfa: float, n: int, k: int, m: int):
 
 
 def _profile_pdet(profile: NonCentralityProfile, beta: float, k: int) -> np.ndarray:
-    return _signed_pdet(cell_pdet(np.array(profile.values), beta), cell_pfa(beta), k)
+    near = min(profile.l_max, k - 1)
+    pdet = cell_pdet(np.array(profile.values), beta)[np.abs(np.arange(-near, near + 1))]
+    return _signed_pdet(pdet, cell_pfa(beta), k)
 
 
 def global_pdet_code_first(profile: NonCentralityProfile, policy: SearchPolicy,
@@ -397,34 +419,21 @@ def global_pdet_code_first_exact(params: SignalParams, grid: DopplerGrid,
     """Code-phase-first global detection probability with the residual
     Doppler marginalized exactly.
 
-    Conditioned on the residual Doppler df0 of the correct bin, the bin at
-    signed offset s carries the realized non-centrality
-    L_max sinc^2((df0 - s W) T_per) (zero beyond l_max); the conditional
-    stop probability follows the same accept-sum as the expected-L form and
-    is then averaged over df0 uniform on [-W/2, W/2] by quadrature, all
-    nodes and offsets in one evaluation.
+    Conditioned on the residual Doppler of the correct bin, the bins at
+    signed offsets up to l_max carry their realized non-centralities (zero
+    beyond); the conditional stop probability follows the same accept-sum
+    as the expected-L form and is then averaged over the residual Doppler
+    (_residual_doppler_mean).
     """
     beta = policy.require_threshold()
     m = policy.accept_half_width
     k = grid.num_bins
-    _check_global_args(k, m, n)
-    if int(l_max) != l_max or l_max < 0:
-        raise ValueError("l_max must be a non-negative integer")
+    _check_global_args(k, m, n, l_max)
     pfa = cell_pfa(beta)
-    wt = grid.relative_width
-    lm = l_max_param(params)
-    # rows quadrature nodes, columns signed offsets; offsets past l_max (or
-    # past the grid) keep the noise-only P_det
     near = min(l_max, k - 1)
-    offsets = np.arange(-near, near + 1)
-
-    def f(xs: np.ndarray) -> np.ndarray:
-        pdet = np.full((xs.size, 2 * k - 1), pfa)
-        pdet[:, k - 1 - near:k + near] = cell_pdet(
-            lm * sinc(xs[:, None] - offsets * wt) ** 2, beta)
-        return _code_first_value(pdet, pfa, n, k, m)
-
-    return as_probability(_integrate_mean(f, -wt / 2.0, wt / 2.0))
+    return as_probability(_residual_doppler_mean(
+        params, grid, beta, np.arange(-near, near + 1),
+        lambda pdet: _code_first_value(_signed_pdet(pdet, pfa, k), pfa, n, k, m)))
 
 
 # --- ROC assembly ---------------------------------------------------------------
@@ -444,8 +453,11 @@ def default_beta_grid(min_pfa: float = 1e-9, max_pfa: float = 0.5,
 
 @dataclass(frozen=True)
 class RocPoint:
-    """One threshold's worth of analytic (and optionally Monte Carlo) results."""
+    """One threshold's analytic results at one bin width and acceptance
+    half-width M; the field order is the column order of the roc table."""
 
+    width_hz: float
+    m: int
     beta: float
     p_fa_cell: float
     p_det_cell_l0: float
@@ -459,11 +471,6 @@ class RocPoint:
     p_det_code_first: float
     p_det_doppler_first: float
     p_det_approx: float
-    p_det_mc: float | None = None
-    p_fa_mc: float | None = None
-    ci_low: float | None = None
-    ci_high: float | None = None
-    trials: int | None = None
 
 
 def roc_curve(params: SignalParams, grid: DopplerGrid, policy: SearchPolicy,
@@ -472,9 +479,10 @@ def roc_curve(params: SignalParams, grid: DopplerGrid, policy: SearchPolicy,
 
     Cell detection columns always cover offsets 0..2 (expected-L and exact
     quadrature variants); global columns use the profile truncated at l_max.
-    The threshold of `policy` is ignored; each point gets its own.  Per
-    threshold, one evaluation of the expected-L cell P_det serves the cell
-    columns and every global column.
+    The threshold of `policy` is ignored; each point gets its own.  One
+    evaluator call gives the expected-L cell P_det at every threshold, which
+    serves the cell columns and every global column, and one residual-Doppler
+    quadrature gives every exact column.
     """
     betas = np.asarray(betas, dtype=np.float64)
     if betas.size == 0:
@@ -483,31 +491,23 @@ def roc_curve(params: SignalParams, grid: DopplerGrid, policy: SearchPolicy,
         raise ValueError("beta grid must be strictly increasing")
     k = grid.num_bins
     m = policy.accept_half_width
-    _check_global_args(k, m, n_phases)
-    if int(l_max) != l_max or l_max < 0:
-        raise ValueError("l_max must be a non-negative integer")
+    _check_global_args(k, m, n_phases, l_max)
     ls = np.array([expected_noncentrality(params, grid, l) for l in range(max(3, l_max + 1))])
+    pds = cell_pdet(ls, betas[:, None])
+    exacts = as_probability(_residual_doppler_mean(params, grid, betas, np.arange(3)))
     n = n_phases
+    # offsets 0..near of the expected profile at the signed offsets -near..near
+    near = min(l_max, k - 1)
+    mirror = np.abs(np.arange(-near, near + 1))
     points = []
-    for beta in betas:
-        b = float(beta)
+    for b, pd, exact in zip(betas.tolist(), pds, exacts.tolist()):
         pfa = cell_pfa(b)
-        pd = cell_pdet(ls, b)
-        signed = _signed_pdet(pd[:l_max + 1], pfa, k)
-        exact = [cell_pdet_exact(params, grid, l, b) for l in range(3)]
+        signed = _signed_pdet(pd[mirror], pfa, k)
+        # positional, in the column order of RocPoint
         points.append(RocPoint(
-            beta=b,
-            p_fa_cell=pfa,
-            p_det_cell_l0=float(pd[0]),
-            p_det_cell_l1=float(pd[1]),
-            p_det_cell_l2=float(pd[2]),
-            p_det_cell_l0_exact=exact[0],
-            p_det_cell_l1_exact=exact[1],
-            p_det_cell_l2_exact=exact[2],
-            p_fa_global=global_pfa(pfa, n, k),
-            p_det_naive=_naive_value(float(pd[0]), pfa, n, k),
-            p_det_code_first=as_probability(_code_first_value(signed, pfa, n, k, m)),
-            p_det_doppler_first=as_probability(_doppler_first_value(signed, pfa, n, k, m)),
-            p_det_approx=as_probability(_accept_sum(signed, 1.0, k, m) / k),
-        ))
+            grid.bin_width_hz, m, b, pfa, *pd[:3].tolist(), *exact,
+            global_pfa(pfa, n, k), _naive_value(float(pd[0]), pfa, n, k),
+            as_probability(_code_first_value(signed, pfa, n, k, m)),
+            as_probability(_doppler_first_value(signed, pfa, n, k, m)),
+            as_probability(_accept_sum(signed, 1.0, k, m) / k)))
     return tuple(points)

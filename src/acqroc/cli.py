@@ -18,15 +18,13 @@ import csv
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 from .analytic import (
+    RocPoint,
     SearchOrder,
     SearchPolicy,
     cell_pdet,
-    cell_pdet_exact,
-    cell_pfa,
-    expected_noncentrality,
     l_max_param,
     roc_curve,
 )
@@ -35,13 +33,7 @@ from .prncode import CODE_LENGTH
 from .simulator import Fidelity, SimConfig, monte_carlo_sweep
 from .validate import CheckStatus, run_validation
 
-_ROC_HEADER = [
-    "width_hz", "m", "beta", "p_fa_cell",
-    "p_det_cell_l0", "p_det_cell_l1", "p_det_cell_l2",
-    "p_det_cell_l0_exact", "p_det_cell_l1_exact", "p_det_cell_l2_exact",
-    "p_fa_global", "p_det_naive", "p_det_code_first", "p_det_doppler_first",
-    "p_det_approx",
-]
+_ROC_HEADER = [f.name for f in fields(RocPoint)]
 _MC_HEADER = ["p_det_mc", "p_fa_mc", "ci_low", "ci_high", "trials"]
 _CELL_HEADER = [
     "width_hz", "wt", "offset_l", "beta",
@@ -50,8 +42,6 @@ _CELL_HEADER = [
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, int):
         return str(value)
     return f"{float(value):.10g}"
@@ -75,76 +65,51 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         raise
 
 
-def _roc_row(width: float, m: int, point) -> list:
-    return [
-        width, m, point.beta, point.p_fa_cell,
-        point.p_det_cell_l0, point.p_det_cell_l1, point.p_det_cell_l2,
-        point.p_det_cell_l0_exact, point.p_det_cell_l1_exact,
-        point.p_det_cell_l2_exact,
-        point.p_fa_global, point.p_det_naive, point.p_det_code_first,
-        point.p_det_doppler_first, point.p_det_approx,
-    ]
+def _roc_tables(config: ExperimentConfig):
+    """Per configured width: its grid, its search policy and the roc_curve
+    points over the config's beta grid, from which every table is made."""
+    params = config.params()
+    betas = config.beta_grid.thresholds()
+    for width in config.bin_widths_hz:
+        grid = config.grid(width)
+        policy = SearchPolicy(config.order, config.m_for(width))
+        yield grid, policy, roc_curve(params, grid, policy, betas,
+                                      n_phases=CODE_LENGTH, l_max=config.lmax)
 
 
 def _cmd_cell_probs(config: ExperimentConfig, out: str) -> int:
-    params = config.params()
-    lm = l_max_param(params)
-    betas = config.beta_grid.thresholds()
+    # the reference column carries the loss-free bound: the perfectly
+    # centered cell for l = 0, plain noise beyond
+    centered = cell_pdet(l_max_param(config.params()), config.beta_grid.thresholds())
     rows = []
-    for width in config.bin_widths_hz:
-        grid = config.grid(width)
+    for grid, _, points in _roc_tables(config):
         for l in range(3):
-            el = expected_noncentrality(params, grid, l)
-            for beta in betas:
-                b = float(beta)
-                # the reference column carries the loss-free bound: the
-                # perfectly centered cell for l = 0, plain noise beyond
-                reference = cell_pdet(lm, b) if l == 0 else cell_pfa(b)
-                rows.append([
-                    width, grid.relative_width, l, b,
-                    cell_pfa(b), cell_pdet(el, b),
-                    cell_pdet_exact(params, grid, l, b), reference,
-                ])
+            rows.extend([p.width_hz, grid.relative_width, l, p.beta, p.p_fa_cell,
+                         getattr(p, f"p_det_cell_l{l}"), getattr(p, f"p_det_cell_l{l}_exact"),
+                         ref if l == 0 else p.p_fa_cell]
+                        for p, ref in zip(points, centered))
     _write_csv(out, _CELL_HEADER, rows)
     print(f"cell-probs: {len(rows)} rows -> {out}")
     return 0
 
 
 def _cmd_roc(config: ExperimentConfig, out: str) -> int:
-    params = config.params()
-    betas = config.beta_grid.thresholds()
-    rows = []
-    for width in config.bin_widths_hz:
-        grid = config.grid(width)
-        m = config.m_for(width)
-        points = roc_curve(params, grid, SearchPolicy(config.order, m), betas,
-                           n_phases=CODE_LENGTH, l_max=config.lmax)
-        rows.extend(_roc_row(width, m, p) for p in points)
+    rows = [astuple(p) for _, _, points in _roc_tables(config) for p in points]
     _write_csv(out, _ROC_HEADER, rows)
     print(f"roc: {len(rows)} rows -> {out}")
     return 0
 
 
 def _cmd_simulate(config: ExperimentConfig, out: str, workers: int) -> int:
-    params = config.params()
     betas = config.beta_grid.thresholds()
     rows = []
-    for width in config.bin_widths_hz:
-        grid = config.grid(width)
-        m = config.m_for(width)
-        points = roc_curve(params, grid, SearchPolicy(config.order, m), betas,
-                           n_phases=CODE_LENGTH, l_max=config.lmax)
+    for grid, policy, points in _roc_tables(config):
         sim = SimConfig(trials=int(config.trials), seed=int(config.seed),
-                        fidelity=config.fidelity, params=params, grid=grid,
-                        policy=SearchPolicy(config.order, m), l_max=config.lmax)
+                        fidelity=config.fidelity, params=config.params(), grid=grid,
+                        policy=policy, l_max=config.lmax)
         estimates = monte_carlo_sweep(sim, betas, workers=workers)
-        for point, est in zip(points, estimates):
-            merged = replace(point, p_det_mc=est.p_det, p_fa_mc=est.p_fa,
-                             ci_low=est.p_det_ci[0], ci_high=est.p_det_ci[1],
-                             trials=est.trials)
-            rows.append(_roc_row(width, m, merged)
-                        + [merged.p_det_mc, merged.p_fa_mc, merged.ci_low,
-                           merged.ci_high, merged.trials])
+        rows.extend([*astuple(p), e.p_det, e.p_fa, *e.p_det_ci, e.trials]
+                    for p, e in zip(points, estimates))
     _write_csv(out, _ROC_HEADER + _MC_HEADER, rows)
     print(f"simulate: {len(rows)} rows ({config.fidelity.value}, "
           f"{config.trials} trials/width) -> {out}")

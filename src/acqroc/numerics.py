@@ -12,8 +12,10 @@ B ~ Poisson(b^2/2) independent,
 
     Q1(a, b) = P[B <= A] = sum_k P[A = k] P[B <= k].
 
-One evaluator serves scalars and arrays of a: all the Poisson masses of a
-call share one window of counts and every term stays inside double range.
+One evaluator serves scalars and arrays of a and of b: all the Poisson
+masses of a call share one window of counts, every threshold's cumulative
+masses meet every signal's masses in one matrix product, and every term
+stays inside double range.
 P[B <= A] is summed directly when b^2 > a^2 + 4, where it is small, and as
 1 - P[B > A] otherwise, so that neither branch accumulates 1 - eps
 cancellation.
@@ -186,53 +188,65 @@ def _poisson_pmf(lams: np.ndarray, lo: int, hi: int) -> np.ndarray:
 _MAX_CELLS = 1 << 21
 
 
-def marcum_q1(a, b: float):
-    """First-order Marcum Q-function Q1(a, b), elementwise over a.
+def marcum_q1(a, b):
+    """First-order Marcum Q-function Q1(a, b), broadcasting b against a.
 
     Q1(a, b) = P[2|X|^2 > b^2] where 2|X|^2 is non-central chi-squared with
-    2 degrees of freedom and non-centrality a^2.  a is a scalar or an array
-    (a float or an ndarray of a's shape comes back), b a scalar.  Stable for
-    a, b well past 50 thanks to the windowed Poisson-mixture evaluation
-    (module docstring); a = 0 gives exp(-b^2/2) to the bit.
+    2 degrees of freedom and non-centrality a^2.  a and b are scalars or
+    arrays; a float comes back for two scalars, else an ndarray of the
+    broadcast shape.  Every element of b meets every element of a in one
+    count window and one matrix product, so shape an array of thresholds to
+    broadcast against a (b of shape (n, 1) against a 1-d a gives n rows)
+    rather than pairing two long arrays elementwise.  Stable for a, b well
+    past 50 thanks to the windowed Poisson-mixture evaluation (module
+    docstring); a = 0 gives exp(-b^2/2) to the bit.
     """
-    bf = float(b)
-    if not math.isfinite(bf) or bf < 0.0:
-        raise ValueError("marcum_q1 requires finite non-negative b")
     av = np.asarray(a, dtype=np.float64)
-    flat = av.ravel()
-    a_lo, a_hi = (float(flat.min()), float(flat.max())) if flat.size else (0.0, 0.0)
-    if not (a_lo >= 0.0 and a_hi < math.inf):
-        raise ValueError("marcum_q1 requires finite non-negative a")
-    lam_thr = 0.5 * bf * bf
-    if flat.size == 0 or lam_thr == 0.0:
-        out = np.ones(flat.shape)
+    bv = np.asarray(b, dtype=np.float64)
+    (a_lo, a_hi), (b_lo, b_hi) = bounds = [
+        (float(v), float(v)) if v.ndim == 0 else
+        (float(v.min()), float(v.max())) if v.size else (0.0, 0.0) for v in (av, bv)]
+    # NaN fails both comparisons
+    if not all(lo >= 0.0 and hi < math.inf for lo, hi in bounds):
+        raise ValueError("marcum_q1 requires finite non-negative a and b")
+    fa, fb = av.ravel(), bv.ravel()
+    n_a, n_b = fa.size, fb.size
+    # every mass lives on lam +/- (12 sqrt(lam) + 30), dropping tails below
+    # ~1e-26 relative; the lower edge is negative up to lam ~ 200 and rises
+    # beyond, so the extreme rates' windows span all the others
+    lam_lo = min(0.5 * a_lo * a_lo, 0.5 * b_lo * b_lo)
+    lam_hi = max(0.5 * a_hi * a_hi, 0.5 * b_hi * b_hi)
+    lo = max(0, math.floor(lam_lo - 12.0 * math.sqrt(lam_lo) - 30.0))
+    hi = math.ceil(lam_hi + 12.0 * math.sqrt(lam_hi) + 30.0)
+    if n_a == 0 or n_b == 0:
+        table = np.ones((n_b, n_a))
+    elif (hi - lo) * max(n_a, n_b) > _MAX_CELLS and max(n_a, n_b) > 1:
+        # split the longer array by rate into calls with narrower windows
+        table = np.empty((n_b, n_a))
+        for part in np.array_split(np.argsort(fa if n_a >= n_b else fb), 2):
+            if n_a >= n_b:
+                table[:, part] = marcum_q1(fa[part], fb[:, None])
+            else:
+                table[part] = marcum_q1(fa, fb[part, None])
     else:
-        lam_sig = 0.5 * flat * flat
-        # every mass lives on lam +/- (12 sqrt(lam) + 30), dropping tails below
-        # ~1e-26 relative; the lower edge is negative up to lam ~ 200 and rises
-        # beyond, so the extreme rates' windows span all the others
-        lam_lo, lam_hi = min(0.5 * a_lo * a_lo, lam_thr), max(0.5 * a_hi * a_hi, lam_thr)
-        lo = max(0, math.floor(lam_lo - 12.0 * math.sqrt(lam_lo) - 30.0))
-        hi = math.ceil(lam_hi + 12.0 * math.sqrt(lam_hi) + 30.0)
-        if (hi - lo) * flat.size > _MAX_CELLS and flat.size > 1:
-            out = np.empty(flat.size)
-            for part in np.array_split(np.argsort(flat), 2):
-                out[part] = marcum_q1(flat[part], bf)
-            return out.reshape(av.shape)
+        lam_sig, lam_thr = 0.5 * fa * fa, 0.5 * fb * fb
         # a floor of 1e-280 keeps (k - lam)/lam finite; a = 0 is set below
-        pm = _poisson_pmf(np.maximum(np.append(lam_sig, lam_thr), 1e-280), lo, hi)
-        pm_thr = pm[:, -1]
-        # rows P[B <= k] and P[B > k]
-        cdf = np.empty((2, hi - lo + 1))
-        np.cumsum(pm_thr, out=cdf[0])
-        np.cumsum(pm_thr[:0:-1], out=cdf[1, -2::-1])
-        cdf[1, -1] = 0.0
-        le, gt = cdf @ pm[:, :-1]
+        pm = _poisson_pmf(np.maximum(np.concatenate((lam_sig, lam_thr)), 1e-280), lo, hi)
+        pm_thr = pm[:, n_a:].T
+        # per threshold, rows P[B <= k] and P[B > k]
+        cdf = np.empty((2, n_b, hi - lo + 1))
+        np.cumsum(pm_thr, axis=1, out=cdf[0])
+        np.cumsum(pm_thr[:, :0:-1], axis=1, out=cdf[1, :, -2::-1])
+        cdf[1, :, -1] = 0.0
+        le, gt = (cdf.reshape(2 * n_b, -1) @ pm[:, :n_a]).reshape(2, n_b, n_a)
         # P[B <= A] directly where it is small, else 1 - P[B > A]
-        out = np.where(lam_thr > lam_sig + 2.0, le, 1.0 - gt)
-        out[lam_sig == 0.0] = math.exp(-lam_thr)
-        out = as_probability(out)
-    return float(out[0]) if av.ndim == 0 else out.reshape(av.shape)
+        table = as_probability(np.where(lam_thr[:, None] > lam_sig + 2.0, le, 1.0 - gt))
+        if a_lo == 0.0:
+            table[:, lam_sig == 0.0] = [[math.exp(-t)] for t in lam_thr.tolist()]
+    if bv.ndim == 0:
+        return float(table[0, 0]) if av.ndim == 0 else table[0].reshape(av.shape)
+    # the index arrays broadcast, picking the (b, a) pairs of the result
+    return table[np.arange(n_b).reshape(bv.shape), np.arange(n_a).reshape(av.shape)]
 
 
 # --- complement powers --------------------------------------------------------

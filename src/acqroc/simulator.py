@@ -22,7 +22,11 @@ relation between C/N0 and L_max.  In the real-IF validation mode the same
 audit gives per-sample real noise variance equal to the high-rate sample
 count N_high and amplitude sqrt(2 C): downconversion halves the amplitude
 and splits the noise between components, averaging by R = N_high/N then
-restores the chip-rate figures above.
+restores the chip-rate figures above.  Either way the code runs at
+1.023 Mchip/s, f_s/1.023 MHz samples per chip, and repeats T_per/1 ms times
+within an integration; each chip's samples are averaged and the code
+periods summed coherently, so the correlator still averages all N_high
+samples of the integration and the audit is unchanged.
 
 Determinism.  Trials are processed in fixed-size batches; batch i of run
 tag t derives its own counter-based (Philox) substream from
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -46,14 +50,10 @@ from .prncode import CODE_LENGTH, generate_ca_code
 
 __all__ = [
     "Fidelity",
-    "Classification",
     "WaveformConfig",
     "SimConfig",
-    "TrialOutcome",
     "McEstimate",
     "draw_metric",
-    "run_metric_trial",
-    "run_waveform_trial",
     "monte_carlo_sweep",
     "wilson_interval",
     "dirichlet_kernel",
@@ -65,26 +65,24 @@ __all__ = [
 _BATCH_METRIC = 4096
 _BATCH_WAVEFORM = 256
 
+# the C/A code: 1023 chips at 1.023 Mchip/s, one period per millisecond
+_CHIP_RATE_HZ = 1.023e6
+
 
 class Fidelity(Enum):
     METRIC_LEVEL = "metric"
     WAVEFORM = "waveform"
 
 
-class Classification(Enum):
-    DETECTION = "detection"
-    FALSE_STOP = "false-stop"
-    NO_STOP = "no-stop"
-
-
 @dataclass(frozen=True)
 class WaveformConfig:
     """Sampling and code selection for the waveform-level chain.
 
-    f_if = 0 selects complex-baseband synthesis at one sample per chip;
-    a nonzero f_if selects real-valued IF synthesis at f_s with averaging
-    decimation down to chip rate.  prn_search None means: same as
-    prn_signal for detection runs, PRN 5 for false-alarm runs.
+    f_if = 0 selects complex-baseband synthesis at f_s, a nonzero f_if
+    real-valued IF synthesis at f_s; both average down to one sample per
+    chip, so f_s must be a whole multiple of the 1.023 MHz chip rate.
+    prn_search None means: same as prn_signal for detection runs, PRN 5 for
+    false-alarm runs.
     """
 
     f_s: float = 1.023e6
@@ -98,13 +96,19 @@ class WaveformConfig:
         if not (math.isfinite(self.f_if) and self.f_if >= 0.0):
             raise ValueError("f_if must be finite and >= 0")
 
+    def _chip_layout(self, t_per: float) -> tuple[int, int]:
+        """Samples per chip f_s/1.023 MHz and code periods T_per/1 ms."""
+        r, periods = self.f_s / _CHIP_RATE_HZ, t_per * _CHIP_RATE_HZ / CODE_LENGTH
+        if not all(round(v) >= 1 and abs(v - round(v)) <= 1e-9 * v for v in (r, periods)):
+            raise ValueError(f"f_s / 1.023 MHz = {r!r} and t_per / 1 ms = {periods!r} "
+                             "must be whole numbers")
+        return round(r), round(periods)
+
     def samples_per_period(self, t_per: float) -> int:
-        n_high = round(t_per * self.f_s)
-        if n_high < CODE_LENGTH or n_high % CODE_LENGTH != 0:
-            raise ValueError(
-                "t_per * f_s must be an integer multiple of the code length "
-                f"(got {t_per * self.f_s!r})")
-        return n_high
+        """Samples per integration period: chips x samples per chip x code
+        periods."""
+        r, periods = self._chip_layout(t_per)
+        return CODE_LENGTH * r * periods
 
     def search_prn(self, detection_run: bool) -> int:
         if self.prn_search is not None:
@@ -136,16 +140,6 @@ class SimConfig:
             raise ValueError("accept_half_width must be smaller than num_bins")
         if int(self.l_max) != self.l_max or self.l_max < 0:
             raise ValueError("l_max must be a non-negative integer")
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    stopped: bool
-    stop_bin: int | None
-    stop_phase: int | None
-    correct_bin: int
-    correct_phase: int
-    classified: Classification
 
 
 @dataclass(frozen=True)
@@ -234,47 +228,6 @@ def _realized_l(params: SignalParams, grid: DopplerGrid, l_max: int,
     return lvals
 
 
-# --- single-trial reference paths ----------------------------------------------
-
-def _serial_search(metrics: np.ndarray, order: SearchOrder,
-                   beta: float) -> tuple[int, int] | None:
-    """First cell with metric > beta in visiting order, or None."""
-    k, n = metrics.shape
-    flat = metrics.reshape(-1) if order is SearchOrder.CODE_PHASE_FIRST else metrics.T.reshape(-1)
-    hits = flat > beta
-    if not hits.any():
-        return None
-    i = int(np.argmax(hits))
-    if order is SearchOrder.CODE_PHASE_FIRST:
-        return i // n, i % n
-    return i % k, i // k
-
-
-def _classify(stop: tuple[int, int] | None, cb: int, cp: int, m: int) -> TrialOutcome:
-    if stop is None:
-        return TrialOutcome(False, None, None, cb, cp, Classification.NO_STOP)
-    b, ph = stop
-    ok = ph == cp and abs(b - cb) <= m
-    cls = Classification.DETECTION if ok else Classification.FALSE_STOP
-    return TrialOutcome(True, b, ph, cb, cp, cls)
-
-
-def run_metric_trial(config: SimConfig, rng: np.random.Generator) -> TrialOutcome:
-    """One serial search with every cell metric drawn at metric level."""
-    beta = config.policy.require_threshold()
-    k, n = config.grid.num_bins, CODE_LENGTH
-    cb = int(rng.integers(0, k))
-    cp = int(rng.integers(0, n))
-    df0 = float(rng.uniform(-config.grid.bin_width_hz / 2.0, config.grid.bin_width_hz / 2.0))
-    lvals = _realized_l(config.params, config.grid, config.l_max,
-                        np.array([cb]), np.array([df0]))[0]
-    metrics = rng.exponential(1.0, (k, n))
-    for b in range(k):
-        metrics[b, cp] = draw_metric(lvals[b], rng)
-    stop = _serial_search(metrics, config.policy.order, beta)
-    return _classify(stop, cb, cp, config.policy.accept_half_width)
-
-
 def dirichlet_kernel(x, n: int = CODE_LENGTH):
     """sin(pi x) / (n sin(pi x / n)): the exact frequency-mismatch loss of an
     n-point average; approaches sinc(x) for large n."""
@@ -289,10 +242,10 @@ def dirichlet_kernel(x, n: int = CODE_LENGTH):
 def _synth_bin(params: SignalParams, wf: WaveformConfig, rng: np.random.Generator | None,
                csig_rows: np.ndarray, f_doppler: np.ndarray, f_local: float,
                theta: np.ndarray) -> np.ndarray:
-    """Received samples for one Doppler bin, downconverted and decimated to
-    chip rate: rows are trials.  rng None disables noise."""
+    """Received samples for one Doppler bin, downconverted and folded to one
+    code period at chip rate: rows are trials.  rng None disables noise."""
     nb, n_high = csig_rows.shape
-    r = n_high // CODE_LENGTH
+    r, periods = wf._chip_layout(params.t_per)
     lm = l_max_param(params)
     t = np.arange(n_high) / wf.f_s
     if wf.f_if == 0.0:
@@ -303,17 +256,20 @@ def _synth_bin(params: SignalParams, wf: WaveformConfig, rng: np.random.Generato
             scale = math.sqrt(n_high / 2.0)
             base = base + scale * (rng.standard_normal((nb, n_high))
                                    + 1j * rng.standard_normal((nb, n_high)))
-        if r > 1:
-            base = base.reshape(nb, CODE_LENGTH, r).mean(axis=2)
-        return base
-    # real IF: synthesize the passband samples, multiply down, average by r
-    carrier = np.cos(2.0 * np.pi * (wf.f_if + f_doppler[:, None]) * t[None, :] + theta[:, None])
-    y = math.sqrt(2.0 * lm) * csig_rows * carrier
-    if rng is not None:
-        y = y + math.sqrt(float(n_high)) * rng.standard_normal((nb, n_high))
-    lo = np.exp(-2j * np.pi * (wf.f_if + f_local) * t)
-    baseband = y * lo[None, :]
-    return baseband.reshape(nb, CODE_LENGTH, r).mean(axis=2)
+    else:
+        # real IF: synthesize the passband samples and multiply down
+        carrier = np.cos(2.0 * np.pi * (wf.f_if + f_doppler[:, None]) * t[None, :]
+                         + theta[:, None])
+        y = math.sqrt(2.0 * lm) * csig_rows * carrier
+        if rng is not None:
+            y = y + math.sqrt(float(n_high)) * rng.standard_normal((nb, n_high))
+        base = y * np.exp(-2j * np.pi * (wf.f_if + f_local) * t)[None, :]
+    # average each chip's r samples, then sum the code periods coherently
+    if r > 1:
+        base = base.reshape(nb, -1, r).mean(axis=2)
+    if periods > 1:
+        base = base.reshape(nb, periods, CODE_LENGTH).mean(axis=1)
+    return base
 
 
 def _correlate_all_phases(baseband: np.ndarray, search_fft: np.ndarray) -> np.ndarray:
@@ -322,22 +278,20 @@ def _correlate_all_phases(baseband: np.ndarray, search_fft: np.ndarray) -> np.nd
     return np.abs(x / CODE_LENGTH) ** 2
 
 
-def _code_rows(prn: int, cp: np.ndarray, r: int) -> np.ndarray:
-    """Code chips delayed by each trial's phase, sample-and-held r times."""
+def _code_rows(prn: int, cp: np.ndarray, r: int, periods: int) -> np.ndarray:
+    """Code chips delayed by each trial's phase, sample-and-held r times and
+    repeated over the code periods."""
     chips = generate_ca_code(prn).chips.astype(np.float64)
     idx = (np.arange(CODE_LENGTH)[None, :] - cp[:, None]) % CODE_LENGTH
-    rows = chips[idx]
-    return np.repeat(rows, r, axis=1) if r > 1 else rows
+    return np.tile(np.repeat(chips[idx], r, axis=1), periods)
 
 
 def noiseless_metric(params: SignalParams, wf: WaveformConfig, delta_f_hz: float,
                      code_phase: int = 0) -> float:
     """Decision metric |X|^2 of the full chain without noise, at the correct
     code phase and a residual Doppler of delta_f_hz from the local frequency."""
-    n_high = wf.samples_per_period(params.t_per)
-    r = n_high // CODE_LENGTH
     prn = wf.prn_signal
-    csig = _code_rows(prn, np.array([code_phase]), r)
+    csig = _code_rows(prn, np.array([code_phase]), *wf._chip_layout(params.t_per))
     base = _synth_bin(params, wf, None, csig, np.array([float(delta_f_hz)]), 0.0,
                       np.zeros(1))
     search_fft = np.fft.fft(generate_ca_code(prn).chips.astype(np.float64))
@@ -348,17 +302,6 @@ def noiseless_metric(params: SignalParams, wf: WaveformConfig, delta_f_hz: float
 def _bin_centers(grid: DopplerGrid) -> np.ndarray:
     k = grid.num_bins
     return (np.arange(k) - (k - 1) / 2.0) * grid.bin_width_hz
-
-
-def run_waveform_trial(config: SimConfig, waveform: WaveformConfig,
-                       rng: np.random.Generator) -> TrialOutcome:
-    """One serial search with metrics produced by the synthesized chain,
-    using a fresh noise realization for every Doppler bin."""
-    beta = config.policy.require_threshold()
-    cb, cp, powers = _waveform_batch(rng, 1, replace(config, waveform=waveform),
-                                     detection_run=True)
-    stop = _serial_search(np.concatenate(list(powers)), config.policy.order, beta)
-    return _classify(stop, int(cb[0]), int(cp[0]), config.policy.accept_half_width)
 
 
 # --- batched recording ----------------------------------------------------------
@@ -398,14 +341,13 @@ def _waveform_batch(rng: np.random.Generator, nb: int, config: SimConfig,
     wf = config.waveform
     grid = config.grid
     k, n = grid.num_bins, CODE_LENGTH
-    r = wf.samples_per_period(config.params.t_per) // n
     cb = rng.integers(0, k, nb)
     cp = rng.integers(0, n, nb)
     df0 = rng.uniform(-grid.bin_width_hz / 2.0, grid.bin_width_hz / 2.0, nb)
     theta = rng.uniform(0.0, 2.0 * math.pi, nb)
     centers = _bin_centers(grid)
     fd = centers[cb] + df0
-    csig = _code_rows(wf.prn_signal, cp, r)
+    csig = _code_rows(wf.prn_signal, cp, *wf._chip_layout(config.params.t_per))
     search_fft = np.fft.fft(
         generate_ca_code(wf.search_prn(detection_run)).chips.astype(np.float64))
 

@@ -26,13 +26,13 @@ from .analytic import (
     SearchOrder,
     SearchPolicy,
     cell_pdet,
-    cell_pdet_exact,
     cell_pfa,
     expected_noncentrality,
     global_pdet_code_first,
     global_pdet_doppler_first,
     global_pfa,
     l_max_param,
+    roc_curve,
 )
 from .config import ExperimentConfig
 from .oracle import averaged_detection
@@ -171,10 +171,10 @@ def _check_gap_diagnostic(config: ExperimentConfig) -> list[CheckResult]:
     for width in config.bin_widths_hz:
         grid = config.grid(width)
         wt = grid.relative_width
+        points = roc_curve(params, grid, SearchPolicy(config.order, config.m_for(width)), betas)
         for l in range(3):
-            el = expected_noncentrality(params, grid, l)
-            gap = max(abs(cell_pdet_exact(params, grid, l, float(b))
-                          - cell_pdet(el, float(b))) for b in betas)
+            gap = max(abs(getattr(p, f"p_det_cell_l{l}_exact") - getattr(p, f"p_det_cell_l{l}"))
+                      for p in points)
             name = f"expected-L-gap W={width:g} l={l}"
             if gap <= GAP_BOUND:
                 out.append(CheckResult(name, CheckStatus.PASS, f"max dev = {gap:.4f}"))

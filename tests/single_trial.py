@@ -1,0 +1,84 @@
+"""Single-trial serial searches: the independent reference for the batched
+threshold replay of acqroc.simulator.
+
+Each trial draws every cell metric of the K x N grid (metric level) or
+synthesizes every bin (waveform level, through the simulator's own trial
+setup) and walks the cells in visiting order until one crosses beta, so the
+outcome follows from the definition of the search rather than from the
+segment-maxima bookkeeping that monte_carlo_sweep replays.
+"""
+
+from dataclasses import dataclass, replace
+from enum import Enum
+
+import numpy as np
+
+from acqroc.analytic import SearchOrder
+from acqroc.prncode import CODE_LENGTH
+from acqroc.simulator import SimConfig, WaveformConfig, _realized_l, _waveform_batch, draw_metric
+
+
+class Classification(Enum):
+    DETECTION = "detection"
+    FALSE_STOP = "false-stop"
+    NO_STOP = "no-stop"
+
+
+@dataclass(frozen=True)
+class TrialOutcome:
+    stopped: bool
+    stop_bin: int | None
+    stop_phase: int | None
+    correct_bin: int
+    correct_phase: int
+    classified: Classification
+
+
+def _serial_search(metrics: np.ndarray, order: SearchOrder,
+                   beta: float) -> tuple[int, int] | None:
+    """First cell with metric > beta in visiting order, or None."""
+    k, n = metrics.shape
+    flat = metrics.reshape(-1) if order is SearchOrder.CODE_PHASE_FIRST else metrics.T.reshape(-1)
+    hits = flat > beta
+    if not hits.any():
+        return None
+    i = int(np.argmax(hits))
+    if order is SearchOrder.CODE_PHASE_FIRST:
+        return i // n, i % n
+    return i % k, i // k
+
+
+def _classify(stop: tuple[int, int] | None, cb: int, cp: int, m: int) -> TrialOutcome:
+    if stop is None:
+        return TrialOutcome(False, None, None, cb, cp, Classification.NO_STOP)
+    b, ph = stop
+    ok = ph == cp and abs(b - cb) <= m
+    cls = Classification.DETECTION if ok else Classification.FALSE_STOP
+    return TrialOutcome(True, b, ph, cb, cp, cls)
+
+
+def run_metric_trial(config: SimConfig, rng: np.random.Generator) -> TrialOutcome:
+    """One serial search with every cell metric drawn at metric level."""
+    beta = config.policy.require_threshold()
+    k, n = config.grid.num_bins, CODE_LENGTH
+    cb = int(rng.integers(0, k))
+    cp = int(rng.integers(0, n))
+    df0 = float(rng.uniform(-config.grid.bin_width_hz / 2.0, config.grid.bin_width_hz / 2.0))
+    lvals = _realized_l(config.params, config.grid, config.l_max,
+                        np.array([cb]), np.array([df0]))[0]
+    metrics = rng.exponential(1.0, (k, n))
+    for b in range(k):
+        metrics[b, cp] = draw_metric(lvals[b], rng)
+    stop = _serial_search(metrics, config.policy.order, beta)
+    return _classify(stop, cb, cp, config.policy.accept_half_width)
+
+
+def run_waveform_trial(config: SimConfig, waveform: WaveformConfig,
+                       rng: np.random.Generator) -> TrialOutcome:
+    """One serial search with metrics produced by the synthesized chain,
+    using a fresh noise realization for every Doppler bin."""
+    beta = config.policy.require_threshold()
+    cb, cp, powers = _waveform_batch(rng, 1, replace(config, waveform=waveform),
+                                     detection_run=True)
+    stop = _serial_search(np.concatenate(list(powers)), config.policy.order, beta)
+    return _classify(stop, int(cb[0]), int(cp[0]), config.policy.accept_half_width)

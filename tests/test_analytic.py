@@ -112,8 +112,16 @@ class TestCellProbabilities:
             assert cell_pfa(beta) == math.exp(-beta)
 
     def test_zero_noncentrality_reduces_to_pfa_exactly(self):
-        for beta in (0.5, 5.0, 12.0, 20.0):
+        betas = np.array([0.5, 5.0, 12.0, 20.0])
+        for beta in betas.tolist():
             assert cell_pdet(0.0, beta) == cell_pfa(beta)
+        # an array of beta, against a scalar L and against the L = 0
+        # entries of an array of L
+        want = np.array([cell_pfa(b) for b in betas.tolist()])
+        np.testing.assert_array_equal(cell_pdet(0.0, betas), want)
+        got = cell_pdet(np.array([0.0, 3.0, 0.0]), betas[:, None])
+        np.testing.assert_array_equal(got[:, 0], want)
+        np.testing.assert_array_equal(got[:, 2], want)
 
     def test_frozen_marcum_point(self):
         # L = L_max = 20 at beta = 10: Q1(sqrt(20), sqrt(20))
@@ -147,6 +155,15 @@ class TestCellProbabilities:
         assert gap[(700.0, 1)] > 0.1
         # narrow bins: every offset is benign
         assert all(g < 0.02 for (w, _), g in gap.items() if w == 200.0)
+
+    def test_exact_over_beta_array_matches_scalar_calls(self):
+        betas = default_beta_grid()[::7]
+        for width in (200.0, 700.0):
+            grid = _grid(width)
+            for l in range(3):
+                many = cell_pdet_exact(PARAMS, grid, l, betas)
+                one = [cell_pdet_exact(PARAMS, grid, l, b) for b in betas.tolist()]
+                np.testing.assert_allclose(many, one, rtol=1e-13, atol=0.0)
 
     def test_exact_never_falls_below_pfa(self):
         # residual signal energy can only raise the crossing probability
@@ -288,7 +305,7 @@ class TestBetaGridAndRoc:
                          "p_det_doppler_first", "p_det_approx"):
                 v = getattr(p, name)
                 assert 0.0 <= v <= 1.0, name
-            assert p.p_det_mc is None and p.trials is None
+            assert p.width_hz == 1000.0 and p.m == 1
 
     def test_roc_rejects_unsorted_grid(self):
         grid = _grid(1000.0)

@@ -162,17 +162,32 @@ class TestMarcumQ1:
             for l, got in zip(ls, many):
                 ref = float(ncx2.sf(b * b, 2, l)) if l > 0.0 else math.exp(-b * b / 2.0)
                 assert got == pytest.approx(ref, abs=2e-13, rel=5e-12), (l, beta)
+        # thresholds as widely spread, broadcast against a few non-centralities:
+        # the call is split by threshold instead
+        betas = ls / 2.0
+        many = marcum_q1(np.sqrt([3.0, 2.0e4]), np.sqrt(2.0 * betas)[:, None])
+        for beta, row in zip(betas, many):
+            for l, got in zip((3.0, 2.0e4), row):
+                ref = float(ncx2.sf(2.0 * beta, 2, l))
+                assert got == pytest.approx(ref, abs=2e-13, rel=5e-12), (l, beta)
 
     @settings(max_examples=60, deadline=None)
     @given(a=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=8),
-           b=st.floats(0.0, 40.0), da=st.floats(0.0, 5.0), db=st.floats(0.0, 5.0))
+           b=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=5),
+           da=st.floats(0.0, 5.0), db=st.floats(0.0, 5.0))
     def test_array_property(self, a, b, da, db):
-        a = np.array(a)
+        a, b = np.array(a), np.sort(np.array(b))[:, None]
+        # an array of b broadcast against a: one row per threshold
         many = marcum_q1(a, b)
-        one = np.array([marcum_q1(float(x), b) for x in a])
+        assert many.shape == (b.size, a.size)
+        one = np.array([[marcum_q1(float(x), float(y)) for x in a] for y in b[:, 0]])
         np.testing.assert_allclose(many, one, rtol=1e-13, atol=1e-15)
+        for y, row in zip(b[:, 0], many):
+            np.testing.assert_allclose(marcum_q1(a, float(y)), row, rtol=1e-13, atol=1e-15)
         assert np.all((many >= 0.0) & (many <= 1.0))
-        # non-decreasing in a, non-increasing in b, up to roundoff
+        # non-increasing along the ascending b, non-decreasing in a,
+        # non-increasing in b, up to roundoff
+        assert np.all(np.diff(many, axis=0) <= 1e-14)
         assert np.all(marcum_q1(a + da, b) >= many - 1e-14)
         assert np.all(marcum_q1(a, b + db) <= many + 1e-14)
 

@@ -21,15 +21,14 @@ from acqroc.analytic import (
 )
 from acqroc.prncode import CODE_LENGTH
 from acqroc.simulator import (
-    Classification,
     Fidelity,
     SimConfig,
     _exp_block_max,
     draw_metric,
     monte_carlo_sweep,
-    run_metric_trial,
     wilson_interval,
 )
+from single_trial import Classification, run_metric_trial
 
 PARAMS = SignalParams(cn0_dbhz=40.0, t_per=1e-3)
 N = CODE_LENGTH
@@ -148,6 +147,26 @@ class TestSingleTrial:
         assert not out.stopped
         assert out.stop_bin is None and out.stop_phase is None
         assert out.classified is Classification.NO_STOP
+
+    def test_outcome_frequencies_match_the_sweep(self):
+        # the reference search and the batched replay sample the same
+        # stopped search: detection, false-stop and no-stop frequencies agree
+        # within 4 sigma of their difference, in both visiting orders
+        beta, trials = 10.0, 3000
+        for order in SearchOrder:
+            cfg = _config(m=1, order=order, threshold=beta)
+            rng = np.random.default_rng(17)
+            single = {c: 0 for c in Classification}
+            for _ in range(trials):
+                single[run_metric_trial(cfg, rng).classified] += 1
+            r = monte_carlo_sweep(cfg, [beta])[0]
+            swept = {Classification.DETECTION: r.n_detect,
+                     Classification.FALSE_STOP: r.n_false_stop,
+                     Classification.NO_STOP: r.n_no_stop}
+            for c in Classification:
+                p1, p2 = single[c] / trials, swept[c] / cfg.trials
+                se = math.sqrt(p1 * (1 - p1) / trials + p2 * (1 - p2) / cfg.trials)
+                assert abs(p1 - p2) < 4.0 * se, (order, c, p1, p2)
 
     def test_classification_frequencies_are_sane(self):
         cfg = _config(trials=1, m=1, threshold=10.0)

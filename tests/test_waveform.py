@@ -16,17 +16,17 @@ from acqroc.analytic import (
     global_pfa,
     l_max_param,
 )
-from acqroc.prncode import CODE_LENGTH
+from acqroc.prncode import CODE_LENGTH, generate_ca_code
 from acqroc.simulator import (
-    Classification,
     Fidelity,
     SimConfig,
     WaveformConfig,
+    _waveform_batch,
     dirichlet_kernel,
     monte_carlo_sweep,
     noiseless_metric,
-    run_waveform_trial,
 )
+from single_trial import Classification, run_waveform_trial
 
 PARAMS = SignalParams(cn0_dbhz=40.0, t_per=1e-3)
 N = CODE_LENGTH
@@ -38,6 +38,24 @@ def _wave_config(trials, seed, m=0, threshold=None, waveform=WaveformConfig()):
                      params=PARAMS, grid=GRID,
                      policy=SearchPolicy(SearchOrder.CODE_PHASE_FIRST, m, threshold),
                      waveform=waveform)
+
+
+class _NoiselessDraws:
+    """Stands in for the generator: one trial with the given correct bin,
+    code phase and residual Doppler, zero carrier phase and no noise."""
+
+    def __init__(self, cb, cp, df0):
+        self._ints = iter([cb, cp])
+        self._uniforms = iter([df0, 0.0])
+
+    def integers(self, lo, hi, size):
+        return np.full(size, next(self._ints))
+
+    def uniform(self, lo, hi, size):
+        return np.full(size, next(self._uniforms))
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
 
 
 class TestDirichletKernel:
@@ -84,8 +102,31 @@ class TestNoiselessChain:
     def test_sampling_validation(self):
         with pytest.raises(ValueError):
             WaveformConfig(f_s=1.5e6).samples_per_period(1e-3)
+        with pytest.raises(ValueError):
+            WaveformConfig(f_s=2.046e6).samples_per_period(1.5e-3)
         assert WaveformConfig().samples_per_period(1e-3) == N
         assert WaveformConfig(f_s=4.092e6).samples_per_period(1e-3) == 4 * N
+        assert WaveformConfig(f_s=2.046e6).samples_per_period(4e-3) == 8 * N
+
+    def test_code_runs_at_chip_rate_over_several_periods(self):
+        # at T_per = 2 ms the code runs at 1.023 Mchip/s and repeats once:
+        # the chain's noiseless power at every code phase, sidelobes
+        # included, equals a direct correlation over the two code periods
+        params = SignalParams(cn0_dbhz=40.0, t_per=2e-3)
+        config = SimConfig(trials=1, seed=0, fidelity=Fidelity.WAVEFORM, params=params,
+                           grid=DopplerGrid(500.0, 5000.0, 2e-3),
+                           policy=SearchPolicy(SearchOrder.CODE_PHASE_FIRST, 0))
+        cb, cp, df0 = 7, 300, 300.0
+        _, _, powers = _waveform_batch(_NoiselessDraws(cb, cp, df0), 1, config,
+                                       detection_run=True)
+        got = list(powers)[cb][0]
+        code = generate_ca_code(1).chips.astype(np.float64)
+        n = np.arange(2 * N)
+        rx = (math.sqrt(l_max_param(params) / 2.0) * code[(n - cp) % N]
+              * np.exp(2j * np.pi * df0 * n / 1.023e6))
+        want = np.array([abs(np.dot(rx, code[(n - m) % N])) ** 2 for m in range(N)])
+        want /= (2 * N) ** 2
+        assert np.max(np.abs(got - want)) <= 1e-9 * want.max()
 
 
 class TestSearchPrnSelection:
