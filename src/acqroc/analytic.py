@@ -157,7 +157,7 @@ class SearchPolicy:
     threshold: float | None = None
 
     def __post_init__(self) -> None:
-        if int(self.accept_half_width) != self.accept_half_width or self.accept_half_width < 0:
+        if not isinstance(self.accept_half_width, (int, np.integer)) or self.accept_half_width < 0:
             raise ValueError("accept_half_width must be a non-negative integer")
         if self.threshold is not None:
             if not (math.isfinite(self.threshold) and self.threshold >= 0.0):
@@ -344,6 +344,16 @@ def _accept_sum(pdet: np.ndarray, bin_noise_factor: float, k: int, m: int):
     return total
 
 
+def _beta_array(betas) -> np.ndarray:
+    """A threshold grid as a float array: non-empty and strictly increasing."""
+    betas = np.asarray(betas, dtype=np.float64)
+    if betas.size == 0:
+        raise ValueError("beta grid must be non-empty")
+    if betas.size > 1 and not np.all(np.diff(betas) > 0.0):
+        raise ValueError("beta grid must be strictly increasing")
+    return betas
+
+
 def _check_global_args(k: int, m: int, n: int | None = None, l_max: int = 0) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -351,7 +361,7 @@ def _check_global_args(k: int, m: int, n: int | None = None, l_max: int = 0) -> 
         raise ValueError("n must be >= 1")
     if m >= k:
         raise ValueError("accept_half_width must be smaller than the bin count")
-    if int(l_max) != l_max or l_max < 0:
+    if not isinstance(l_max, (int, np.integer)) or l_max < 0:
         raise ValueError("l_max must be a non-negative integer")
 
 
@@ -440,15 +450,13 @@ def global_pdet_code_first_exact(params: SignalParams, grid: DopplerGrid,
 
 def default_beta_grid(min_pfa: float = 1e-9, max_pfa: float = 0.5,
                       points: int = 60) -> np.ndarray:
-    """Ascending thresholds whose cell P_fa values are log-spaced on
+    """Strictly ascending thresholds whose cell P_fa values are log-spaced on
     [min_pfa, max_pfa]."""
     if not (0.0 < min_pfa <= max_pfa <= 1.0):
         raise ValueError("need 0 < min_pfa <= max_pfa <= 1")
-    if points < 1:
-        raise ValueError("points must be >= 1")
-    if points == 1:
-        return np.array([-math.log(min_pfa)])
-    return -np.log(np.geomspace(max_pfa, min_pfa, points))
+    if int(points) != points or points < 2:
+        raise ValueError("points must be an integer >= 2")
+    return _beta_array(-np.log(np.geomspace(max_pfa, min_pfa, int(points))))
 
 
 @dataclass(frozen=True)
@@ -484,11 +492,7 @@ def roc_curve(params: SignalParams, grid: DopplerGrid, policy: SearchPolicy,
     serves the cell columns and every global column, and one residual-Doppler
     quadrature gives every exact column.
     """
-    betas = np.asarray(betas, dtype=np.float64)
-    if betas.size == 0:
-        raise ValueError("beta grid must be non-empty")
-    if betas.size > 1 and not np.all(np.diff(betas) > 0.0):
-        raise ValueError("beta grid must be strictly increasing")
+    betas = _beta_array(betas)
     k = grid.num_bins
     m = policy.accept_half_width
     _check_global_args(k, m, n_phases, l_max)

@@ -18,19 +18,12 @@ import csv
 import os
 import sys
 import tempfile
-from dataclasses import astuple, fields, replace
+from dataclasses import astuple, fields
 
-from .analytic import (
-    RocPoint,
-    SearchOrder,
-    SearchPolicy,
-    cell_pdet,
-    l_max_param,
-    roc_curve,
-)
-from .config import ConfigError, ExperimentConfig, load_config
+from .analytic import RocPoint, SearchOrder, cell_pdet, l_max_param, roc_curve
+from .config import ConfigError, ExperimentConfig, load_config, override
 from .prncode import CODE_LENGTH
-from .simulator import Fidelity, SimConfig, monte_carlo_sweep
+from .simulator import Fidelity, monte_carlo_sweep
 from .validate import CheckStatus, run_validation
 
 _ROC_HEADER = [f.name for f in fields(RocPoint)]
@@ -66,15 +59,14 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _roc_tables(config: ExperimentConfig):
-    """Per configured width: its grid, its search policy and the roc_curve
-    points over the config's beta grid, from which every table is made."""
+    """Per configured width: its grid and the roc_curve points over the
+    config's beta grid, from which every table is made."""
     params = config.params()
     betas = config.beta_grid.thresholds()
     for width in config.bin_widths_hz:
         grid = config.grid(width)
-        policy = SearchPolicy(config.order, config.m_for(width))
-        yield grid, policy, roc_curve(params, grid, policy, betas,
-                                      n_phases=CODE_LENGTH, l_max=config.lmax)
+        yield grid, roc_curve(params, grid, config.policy(width), betas,
+                              n_phases=CODE_LENGTH, l_max=config.lmax)
 
 
 def _cmd_cell_probs(config: ExperimentConfig, out: str) -> int:
@@ -82,7 +74,7 @@ def _cmd_cell_probs(config: ExperimentConfig, out: str) -> int:
     # centered cell for l = 0, plain noise beyond
     centered = cell_pdet(l_max_param(config.params()), config.beta_grid.thresholds())
     rows = []
-    for grid, _, points in _roc_tables(config):
+    for grid, points in _roc_tables(config):
         for l in range(3):
             rows.extend([p.width_hz, grid.relative_width, l, p.beta, p.p_fa_cell,
                          getattr(p, f"p_det_cell_l{l}"), getattr(p, f"p_det_cell_l{l}_exact"),
@@ -94,7 +86,7 @@ def _cmd_cell_probs(config: ExperimentConfig, out: str) -> int:
 
 
 def _cmd_roc(config: ExperimentConfig, out: str) -> int:
-    rows = [astuple(p) for _, _, points in _roc_tables(config) for p in points]
+    rows = [astuple(p) for _, points in _roc_tables(config) for p in points]
     _write_csv(out, _ROC_HEADER, rows)
     print(f"roc: {len(rows)} rows -> {out}")
     return 0
@@ -103,11 +95,9 @@ def _cmd_roc(config: ExperimentConfig, out: str) -> int:
 def _cmd_simulate(config: ExperimentConfig, out: str, workers: int) -> int:
     betas = config.beta_grid.thresholds()
     rows = []
-    for grid, policy, points in _roc_tables(config):
-        sim = SimConfig(trials=int(config.trials), seed=int(config.seed),
-                        fidelity=config.fidelity, params=config.params(), grid=grid,
-                        policy=policy, l_max=config.lmax)
-        estimates = monte_carlo_sweep(sim, betas, workers=workers)
+    for grid, points in _roc_tables(config):
+        estimates = monte_carlo_sweep(config.sim_config(grid.bin_width_hz), betas,
+                                      workers=workers)
         rows.extend([*astuple(p), e.p_det, e.p_fa, *e.p_det_ci, e.trials]
                     for p, e in zip(points, estimates))
     _write_csv(out, _ROC_HEADER + _MC_HEADER, rows)
@@ -155,19 +145,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    overrides = {key: value for key in ("seed", "trials", "fidelity", "order")
+                 if (value := getattr(args, key)) is not None}
     try:
-        config = load_config(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.trials is not None:
-            overrides["trials"] = args.trials
-        if args.fidelity is not None:
-            overrides["fidelity"] = Fidelity(args.fidelity)
-        if args.order is not None:
-            overrides["order"] = SearchOrder(args.order)
-        if overrides:
-            config = replace(config, **overrides)
+        config = override(load_config(args.config), overrides)
+        if "out" in args and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise ConfigError(f"--out directory of {args.out!r} does not exist")
+        if "workers" in args and args.workers < 1:
+            raise ConfigError("--workers must be >= 1")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -176,9 +161,6 @@ def main(argv=None) -> int:
     if args.command == "roc":
         return _cmd_roc(config, args.out)
     if args.command == "simulate":
-        if args.workers < 1:
-            print("config error: --workers must be >= 1", file=sys.stderr)
-            return 2
         return _cmd_simulate(config, args.out, args.workers)
     return _cmd_validate(config)
 

@@ -3,26 +3,37 @@
 A minimal file needs only the signal point, e.g. {"cn0_dbhz": 40, "tper_ms": 1};
 everything else defaults to the standard experiment (f_dmax 5000 Hz, widths
 200/500/700/1000 Hz, M = 0 unless m_by_width says otherwise, 60-point beta
-grid spanning cell P_fa 1e-9..0.5, 1e5 trials, fixed seed).  Unknown keys are
-rejected so a typo cannot silently fall back to a default.
+grid spanning cell P_fa 1e-9..0.5, 1e5 trials, fixed seed).
+
+One key table, `_KEYS`, maps each JSON key to its parser: a number, an
+integer, the width list, the width -> M object, an enum value, or a nested
+object with its own table (`beta_grid`).  The same table parses the file
+and the CLI's overrides.  Keys not in a table are rejected, so a typo cannot
+silently fall back to a default; the keys a dataclass gives no default are
+required.  Every other rule belongs to the run objects a config builds per
+width (SignalParams, DopplerGrid, SearchPolicy, SimConfig), which check it
+when the config is made.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from .analytic import DopplerGrid, SearchOrder, SignalParams, default_beta_grid
-from .simulator import Fidelity
+from .analytic import DopplerGrid, SearchOrder, SearchPolicy, SignalParams, default_beta_grid
+from .simulator import Fidelity, SimConfig
 
-__all__ = ["ConfigError", "BetaGridSpec", "ExperimentConfig", "load_config"]
+__all__ = ["ConfigError", "BetaGridSpec", "ExperimentConfig", "load_config", "override"]
 
 DEFAULT_BIN_WIDTHS_HZ = (200.0, 500.0, 700.0, 1000.0)
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 12345
+
+# the run objects name their fields, a config file its keys
+_KEY_OF_FIELD = {"bin_width_hz": "bin widths", "f_dmax_hz": "fdmax_hz", "t_per": "tper_ms",
+                 "l_max": "lmax", "accept_half_width": "M"}
 
 
 class ConfigError(Exception):
@@ -38,13 +49,13 @@ class BetaGridSpec:
     points: int = 60
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.min_pfa <= self.max_pfa <= 1.0):
-            raise ConfigError("beta_grid needs 0 < min_pfa <= max_pfa <= 1")
-        if int(self.points) != self.points or self.points < 2:
-            raise ConfigError("beta_grid.points must be an integer >= 2")
+        try:
+            self.thresholds()
+        except ValueError as exc:
+            raise ConfigError(f"beta_grid: {exc}") from exc
 
     def thresholds(self) -> np.ndarray:
-        return default_beta_grid(self.min_pfa, self.max_pfa, int(self.points))
+        return default_beta_grid(self.min_pfa, self.max_pfa, self.points)
 
 
 @dataclass(frozen=True)
@@ -62,31 +73,19 @@ class ExperimentConfig:
     lmax: int = 2
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.cn0_dbhz)):
-            raise ConfigError("cn0_dbhz must be finite")
-        if not (math.isfinite(self.tper_ms) and self.tper_ms > 0.0):
-            raise ConfigError("tper_ms must be positive")
-        if not (math.isfinite(self.fdmax_hz) and self.fdmax_hz > 0.0):
-            raise ConfigError("fdmax_hz must be positive")
         if len(self.bin_widths_hz) == 0:
             raise ConfigError("bin_widths_hz must be non-empty")
-        if any(not (math.isfinite(w) and w > 0.0) for w in self.bin_widths_hz):
-            raise ConfigError("bin widths must be positive")
-        for w, m in self.m_by_width.items():
+        for w in self.m_by_width:
             if w not in self.bin_widths_hz:
                 raise ConfigError(f"m_by_width key {w!r} is not one of bin_widths_hz")
-            if int(m) != m or m < 0:
-                raise ConfigError(f"M for width {w!r} must be a non-negative integer")
-            if m >= self.grid(w).num_bins:
-                raise ConfigError(
-                    f"M = {m} must be smaller than the bin count "
-                    f"{self.grid(w).num_bins} at width {w}")
-        if int(self.trials) != self.trials or self.trials < 1:
-            raise ConfigError("trials must be a positive integer")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
-        if int(self.lmax) != self.lmax or self.lmax < 0:
-            raise ConfigError("lmax must be a non-negative integer")
+        for w in self.bin_widths_hz:
+            try:
+                self.sim_config(w)
+            except ValueError as exc:
+                msg = str(exc)
+                for name, key in _KEY_OF_FIELD.items():
+                    msg = msg.replace(name, key)
+                raise ConfigError(f"{msg} (at bin width {w:g} Hz)") from exc
 
     def params(self) -> SignalParams:
         return SignalParams(cn0_dbhz=self.cn0_dbhz, t_per=self.tper_ms * 1e-3)
@@ -96,26 +95,82 @@ class ExperimentConfig:
                            t_per=self.tper_ms * 1e-3)
 
     def m_for(self, width_hz: float) -> int:
-        return int(self.m_by_width.get(width_hz, 0))
+        return self.m_by_width.get(width_hz, 0)
+
+    def policy(self, width_hz: float) -> SearchPolicy:
+        """Search order and acceptance half-width M at one width."""
+        return SearchPolicy(self.order, self.m_for(width_hz))
+
+    def sim_config(self, width_hz: float) -> SimConfig:
+        """The Monte Carlo experiment at one width."""
+        return SimConfig(trials=self.trials, seed=self.seed, fidelity=self.fidelity,
+                         params=self.params(), grid=self.grid(width_hz),
+                         policy=self.policy(width_hz), l_max=self.lmax)
 
 
-_TOP_KEYS = {
-    "cn0_dbhz", "tper_ms", "fdmax_hz", "bin_widths_hz", "m_by_width",
-    "beta_grid", "trials", "seed", "fidelity", "order", "lmax",
-}
-_BETA_KEYS = {"min_pfa", "max_pfa", "points"}
-
-
-def _as_float(raw, name: str) -> float:
+def _number(raw, name: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"{name} must be a number, got {raw!r}")
     return float(raw)
 
 
-def _as_int(raw, name: str) -> int:
+def _integer(raw, name: str) -> int:
     if isinstance(raw, bool) or not isinstance(raw, int):
         raise ConfigError(f"{name} must be an integer, got {raw!r}")
     return raw
+
+
+def _widths(raw, name: str) -> tuple[float, ...]:
+    if not isinstance(raw, list):
+        raise ConfigError(f"{name} must be a list")
+    return tuple(_number(w, f"{name} entry") for w in raw)
+
+
+def _m_by_width(raw, name: str) -> dict[float, int]:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be an object of width -> M")
+    out = {}
+    for key, m in raw.items():
+        try:
+            w = float(key)
+        except ValueError as exc:
+            raise ConfigError(f"{name} key {key!r} is not a width") from exc
+        out[w] = _integer(m, f"{name}[{key}]")
+    return out
+
+
+def _enum(cls):
+    def parse(raw, name: str):
+        try:
+            return cls(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{name} must be one of {[e.value for e in cls]}") from exc
+    return parse
+
+
+def _object(raw, cls, table: dict, name: str = ""):
+    """cls built from a JSON object whose keys `table` parses; `name` is the
+    object's key, empty for the config root."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name or 'config root'} must be a JSON object")
+    unknown = set(raw) - set(table)
+    if unknown:
+        raise ConfigError(f"unknown {name or 'config'} keys: {sorted(unknown)}")
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in raw:
+            raise ConfigError(f"missing required key {f.name!r}")
+    prefix = f"{name}." if name else ""
+    return cls(**{key: table[key](value, prefix + key) for key, value in raw.items()})
+
+
+_BETA_GRID_KEYS = {"min_pfa": _number, "max_pfa": _number, "points": _integer}
+_KEYS = {
+    "cn0_dbhz": _number, "tper_ms": _number, "fdmax_hz": _number,
+    "bin_widths_hz": _widths, "m_by_width": _m_by_width,
+    "beta_grid": lambda raw, name: _object(raw, BetaGridSpec, _BETA_GRID_KEYS, name),
+    "trials": _integer, "seed": _integer,
+    "fidelity": _enum(Fidelity), "order": _enum(SearchOrder), "lmax": _integer,
+}
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -129,70 +184,10 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(
             f"config {path!r} is not valid JSON "
             f"(line {exc.lineno}, column {exc.colno}: {exc.msg})") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for req in ("cn0_dbhz", "tper_ms"):
-        if req not in raw:
-            raise ConfigError(f"missing required key {req!r}")
+    return _object(raw, ExperimentConfig, _KEYS)
 
-    kwargs: dict = {
-        "cn0_dbhz": _as_float(raw["cn0_dbhz"], "cn0_dbhz"),
-        "tper_ms": _as_float(raw["tper_ms"], "tper_ms"),
-    }
-    if "fdmax_hz" in raw:
-        kwargs["fdmax_hz"] = _as_float(raw["fdmax_hz"], "fdmax_hz")
-    if "bin_widths_hz" in raw:
-        widths = raw["bin_widths_hz"]
-        if not isinstance(widths, list) or not widths:
-            raise ConfigError("bin_widths_hz must be a non-empty list")
-        kwargs["bin_widths_hz"] = tuple(
-            _as_float(w, "bin_widths_hz entry") for w in widths)
-    if "m_by_width" in raw:
-        mbw = raw["m_by_width"]
-        if not isinstance(mbw, dict):
-            raise ConfigError("m_by_width must be an object of width -> M")
-        out = {}
-        for key, m in mbw.items():
-            try:
-                w = float(key)
-            except ValueError as exc:
-                raise ConfigError(f"m_by_width key {key!r} is not a width") from exc
-            out[w] = _as_int(m, f"m_by_width[{key}]")
-        kwargs["m_by_width"] = out
-    if "beta_grid" in raw:
-        bg = raw["beta_grid"]
-        if not isinstance(bg, dict):
-            raise ConfigError("beta_grid must be an object")
-        unknown = set(bg) - _BETA_KEYS
-        if unknown:
-            raise ConfigError(f"unknown beta_grid keys: {sorted(unknown)}")
-        spec_kwargs = {}
-        if "min_pfa" in bg:
-            spec_kwargs["min_pfa"] = _as_float(bg["min_pfa"], "beta_grid.min_pfa")
-        if "max_pfa" in bg:
-            spec_kwargs["max_pfa"] = _as_float(bg["max_pfa"], "beta_grid.max_pfa")
-        if "points" in bg:
-            spec_kwargs["points"] = _as_int(bg["points"], "beta_grid.points")
-        kwargs["beta_grid"] = BetaGridSpec(**spec_kwargs)
-    if "trials" in raw:
-        kwargs["trials"] = _as_int(raw["trials"], "trials")
-    if "seed" in raw:
-        kwargs["seed"] = _as_int(raw["seed"], "seed")
-    if "fidelity" in raw:
-        try:
-            kwargs["fidelity"] = Fidelity(raw["fidelity"])
-        except ValueError as exc:
-            raise ConfigError(
-                f"fidelity must be one of {[f.value for f in Fidelity]}") from exc
-    if "order" in raw:
-        try:
-            kwargs["order"] = SearchOrder(raw["order"])
-        except ValueError as exc:
-            raise ConfigError(
-                f"order must be one of {[o.value for o in SearchOrder]}") from exc
-    if "lmax" in raw:
-        kwargs["lmax"] = _as_int(raw["lmax"], "lmax")
-    return ExperimentConfig(**kwargs)
+
+def override(config: ExperimentConfig, raw: dict) -> ExperimentConfig:
+    """`config` with the keys of `raw` replaced, each value parsed as in a
+    config file."""
+    return replace(config, **{key: _KEYS[key](value, key) for key, value in raw.items()})

@@ -45,7 +45,8 @@ from enum import Enum
 
 import numpy as np
 
-from .analytic import DopplerGrid, SearchOrder, SearchPolicy, SignalParams, l_max_param
+from .analytic import (DopplerGrid, SearchOrder, SearchPolicy, SignalParams, _beta_array,
+                       _check_global_args, l_max_param)
 from .prncode import CODE_LENGTH, generate_ca_code
 
 __all__ = [
@@ -81,14 +82,13 @@ class WaveformConfig:
     f_if = 0 selects complex-baseband synthesis at f_s, a nonzero f_if
     real-valued IF synthesis at f_s; both average down to one sample per
     chip, so f_s must be a whole multiple of the 1.023 MHz chip rate.
-    prn_search None means: same as prn_signal for detection runs, PRN 5 for
-    false-alarm runs.
+    Detection runs search with prn_signal, false-alarm runs with PRN 5 (PRN 1
+    when the signal is PRN 5).
     """
 
     f_s: float = 1.023e6
     f_if: float = 0.0
     prn_signal: int = 1
-    prn_search: int | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.f_s) and self.f_s > 0.0):
@@ -111,8 +111,6 @@ class WaveformConfig:
         return CODE_LENGTH * r * periods
 
     def search_prn(self, detection_run: bool) -> int:
-        if self.prn_search is not None:
-            return self.prn_search
         if detection_run:
             return self.prn_signal
         return 5 if self.prn_signal != 5 else 1
@@ -132,14 +130,13 @@ class SimConfig:
     waveform: WaveformConfig = WaveformConfig()
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+            raise ValueError("trials must be a positive integer")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.policy.accept_half_width >= self.grid.num_bins:
-            raise ValueError("accept_half_width must be smaller than num_bins")
-        if int(self.l_max) != self.l_max or self.l_max < 0:
-            raise ValueError("l_max must be a non-negative integer")
+        _check_global_args(self.grid.num_bins, self.policy.accept_half_width, l_max=self.l_max)
+        if self.fidelity is Fidelity.WAVEFORM:
+            self.waveform.samples_per_period(self.params.t_per)
 
 
 @dataclass(frozen=True)
@@ -471,11 +468,7 @@ def _run_batches(config: SimConfig, run_tag: int, worker, workers: int):
 def monte_carlo_sweep(config: SimConfig, betas, workers: int = 1) -> list[McEstimate]:
     """Detection and false-alarm estimates at every threshold of an ascending
     grid, from one recording pass per run."""
-    betas = np.asarray(betas, dtype=np.float64)
-    if betas.size == 0:
-        raise ValueError("beta grid must be non-empty")
-    if betas.size > 1 and not np.all(np.diff(betas) > 0.0):
-        raise ValueError("beta grid must be strictly increasing")
+    betas = _beta_array(betas)
     k = config.grid.num_bins
     m = config.policy.accept_half_width
     order = config.policy.order

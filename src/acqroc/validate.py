@@ -171,7 +171,7 @@ def _check_gap_diagnostic(config: ExperimentConfig) -> list[CheckResult]:
     for width in config.bin_widths_hz:
         grid = config.grid(width)
         wt = grid.relative_width
-        points = roc_curve(params, grid, SearchPolicy(config.order, config.m_for(width)), betas)
+        points = roc_curve(params, grid, config.policy(width), betas)
         for l in range(3):
             gap = max(abs(getattr(p, f"p_det_cell_l{l}_exact") - getattr(p, f"p_det_cell_l{l}"))
                       for p in points)

@@ -46,6 +46,7 @@ from acqroc.simulator import (
     noiseless_metric,
     wilson_interval,
 )
+from acqroc.validate import KNOWN_GAP_OFFSETS
 
 PARAMS = SignalParams(cn0_dbhz=40.0, t_per=1.0e-3)
 WIDTHS_HZ = (200.0, 500.0, 700.0, 1000.0)
@@ -217,7 +218,7 @@ def test_criterion_4_model_aware(reference_sweeps, criterion_report):
     fa_bad = det_bad = 0
     trig_documented = trig_beyond = 0
     for case in cases:
-        documented = (case.relative_width, 1) in {(0.5, 1), (0.7, 1)} and case.m >= 1
+        documented = (case.relative_width, 1) in KNOWN_GAP_OFFSETS and case.m >= 1
         for i in range(len(betas)):
             lo, hi = wilson_interval(int(case.n_fa_stop[i]), case.trials, z=3.0)
             if not (lo <= case.pfa_curve[i] <= hi):
@@ -259,7 +260,7 @@ def test_criterion_4_strict(reference_sweeps, criterion_report):
     betas, cases, _ = reference_sweeps
     misses = []
     for case in cases:
-        documented = (case.relative_width, 1) in {(0.5, 1), (0.7, 1)} and case.m >= 1
+        documented = (case.relative_width, 1) in KNOWN_GAP_OFFSETS and case.m >= 1
         for i in range(len(betas)):
             target = (case.exact_curve[i]
                       if documented and _gap_triggered(case, i)

@@ -2,12 +2,15 @@
 
 import csv
 import json
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from acqroc.analytic import SearchOrder
+from acqroc.analytic import DopplerGrid, SearchOrder
 from acqroc.cli import main
 from acqroc.config import BetaGridSpec, ConfigError, ExperimentConfig, load_config
 from acqroc.simulator import Fidelity
@@ -36,6 +39,31 @@ def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+@st.composite
+def config_pairs(draw):
+    """A valid config file's JSON object and the ExperimentConfig arguments
+    it stands for; the waveform chain needs whole milliseconds of T_per."""
+    fidelity = draw(st.sampled_from(Fidelity))
+    tper = (float(draw(st.integers(1, 4))) if fidelity is Fidelity.WAVEFORM
+            else draw(st.floats(0.1, 10.0)))
+    fdmax = draw(st.floats(500.0, 10000.0))
+    widths = draw(st.lists(st.floats(100.0, 2000.0), min_size=1, max_size=4, unique=True))
+    m_by_width = {w: draw(st.integers(0, min(3, DopplerGrid(w, fdmax, tper * 1e-3).num_bins - 1)))
+                  for w in draw(st.lists(st.sampled_from(widths), unique=True))}
+    min_pfa = draw(st.floats(1e-12, 0.5))
+    beta_grid = {"min_pfa": min_pfa, "max_pfa": draw(st.floats(2.0 * min_pfa, 1.0)),
+                 "points": draw(st.integers(2, 80))}
+    order = draw(st.sampled_from(SearchOrder))
+    kwargs = dict(cn0_dbhz=draw(st.floats(20.0, 60.0)), tper_ms=tper, fdmax_hz=fdmax,
+                  bin_widths_hz=tuple(widths), m_by_width=m_by_width,
+                  beta_grid=BetaGridSpec(**beta_grid), trials=draw(st.integers(1, 10**6)),
+                  seed=draw(st.integers(0, 2**32)), fidelity=fidelity, order=order,
+                  lmax=draw(st.integers(0, 5)))
+    raw = dict(kwargs, bin_widths_hz=widths, beta_grid=beta_grid, fidelity=fidelity.value,
+               order=order.value, m_by_width={str(w): m for w, m in m_by_width.items()})
+    return raw, kwargs
 
 
 class TestLoadConfig:
@@ -126,6 +154,26 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="root must be a JSON object"):
             load_config(str(arr))
 
+    @settings(max_examples=60, deadline=None)
+    @given(pair=config_pairs(), data=st.data())
+    def test_round_trip_and_wrong_types(self, tmp_path_factory, pair, data):
+        raw, kwargs = pair
+        path = tmp_path_factory.mktemp("rt") / "config.json"
+        path.write_text(json.dumps(raw))
+        assert load_config(str(path)) == ExperimentConfig(**kwargs)
+        # any one key, top level or in beta_grid, of a type its parser rejects
+        key = data.draw(st.sampled_from(
+            sorted(raw) + [f"beta_grid.{k}" for k in raw["beta_grid"]]))
+        *parents, leaf = key.split(".")
+        bad = json.loads(json.dumps(raw))
+        node = bad
+        for parent in parents:
+            node = node[parent]
+        node[leaf] = data.draw(st.sampled_from(["x", True, None, [True]]))
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(str(path))
+
     def test_beta_grid_spec_validation(self):
         with pytest.raises(ConfigError):
             BetaGridSpec(min_pfa=0.5, max_pfa=1e-9)
@@ -133,6 +181,9 @@ class TestLoadConfig:
             BetaGridSpec(points=1)
         with pytest.raises(ConfigError):
             BetaGridSpec(min_pfa=0.0)
+        # equal endpoints give a constant grid, which no table can use
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            BetaGridSpec(min_pfa=0.1, max_pfa=0.1, points=3)
 
     def test_beta_grid_threshold_endpoints(self):
         import numpy as np
@@ -144,6 +195,9 @@ class TestLoadConfig:
     def test_direct_construction_validation(self):
         with pytest.raises(ConfigError, match="trials"):
             ExperimentConfig(cn0_dbhz=40.0, tper_ms=1.0, trials=0)
+        # a float count fails at construction, not in the middle of a run
+        with pytest.raises(ConfigError, match="trials"):
+            ExperimentConfig(cn0_dbhz=40.0, tper_ms=1.0, trials=50.0)
         with pytest.raises(ConfigError, match="seed"):
             ExperimentConfig(cn0_dbhz=40.0, tper_ms=1.0, seed=-1)
         with pytest.raises(ConfigError, match="tper_ms"):
@@ -264,6 +318,29 @@ class TestCli:
         bad = write_config(tmp_path, {"bogus": 1})
         assert main(["roc", "--config", bad, "--out", str(tmp_path / "x.csv")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_waveform_needs_whole_milliseconds(self, tmp_path, capsys):
+        # T_per = 1.5 ms is fine for the metric chain but is no whole number
+        # of code periods: rejected at load, before any table is computed
+        cfg = write_config(tmp_path, {"tper_ms": 1.5, "bin_widths_hz": [1000]})
+        out = tmp_path / "wf.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     "--fidelity", "waveform"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert "tper_ms" in err[0]
+        assert not out.exists()
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     "--trials", "200"]) == 0
+        assert out.exists()
+
+    def test_out_into_missing_directory_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "no" / "such" / "x.csv"
+        assert main(["roc", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not out.parent.exists()
 
     def test_invalid_workers_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL)

@@ -243,6 +243,11 @@ class TestSweepBookkeeping:
             SimConfig(trials=10, seed=-1, fidelity=Fidelity.METRIC_LEVEL,
                       params=PARAMS, grid=DopplerGrid(1000.0, 5000.0, 1e-3),
                       policy=SearchPolicy(SearchOrder.CODE_PHASE_FIRST, 0))
+        # the waveform chain runs whole code periods: T_per = 1.5 ms has none
+        with pytest.raises(ValueError, match="whole numbers"):
+            SimConfig(trials=10, seed=0, fidelity=Fidelity.WAVEFORM,
+                      params=SignalParams(40.0, 1.5e-3), grid=DopplerGrid(1000.0, 5000.0, 1.5e-3),
+                      policy=SearchPolicy(SearchOrder.CODE_PHASE_FIRST, 0))
 
 
 class TestReproducibility:

@@ -137,11 +137,6 @@ class TestSearchPrnSelection:
         wf5 = WaveformConfig(prn_signal=5)
         assert wf5.search_prn(detection_run=False) == 1
 
-    def test_explicit_override(self):
-        wf = WaveformConfig(prn_search=9)
-        assert wf.search_prn(True) == 9
-        assert wf.search_prn(False) == 9
-
 
 class TestSingleWaveformTrial:
     def test_zero_threshold_stops_at_first_cell(self):
