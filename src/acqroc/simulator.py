@@ -4,11 +4,12 @@ Metric level draws each cell's decision metric from its exact
 per-realization distribution: noise cells are Exp(1), the correct-phase
 cell of the bin at signed offset s is |sqrt(L/2) e^{j psi} + n|^2 with
 L = L_max sinc^2((df0 - s W) T_per) for the realized residual Doppler df0
-(zero beyond the l_max truncation).  Waveform level synthesizes the
-received samples (code-modulated carrier plus white noise), downconverts
-with each bin's center frequency using a fresh noise realization per bin,
-despreads at every code phase, averages, and squares; the metrics then
-come out of the arithmetic instead of out of a distribution.
+(zero beyond the l_max truncation).  Waveform level synthesizes each
+trial's received code-modulated carrier once, then per Doppler bin
+downconverts it with that bin's local-oscillator row, adds a fresh white
+noise realization, despreads at every code phase, averages, and squares;
+the metrics then come out of the arithmetic instead of out of a
+distribution.
 
 Unit audit (waveform level).  The decision metric must have noise with
 per-component variance 1/2 so thresholds mean the same thing in both
@@ -236,30 +237,42 @@ def dirichlet_kernel(x, n: int = CODE_LENGTH):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _synth_bin(params: SignalParams, wf: WaveformConfig, rng: np.random.Generator | None,
-               csig_rows: np.ndarray, f_doppler: np.ndarray, f_local: float,
-               theta: np.ndarray) -> np.ndarray:
-    """Received samples for one Doppler bin, downconverted and folded to one
-    code period at chip rate: rows are trials.  rng None disables noise."""
-    nb, n_high = csig_rows.shape
-    r, periods = wf._chip_layout(params.t_per)
+def _received_rows(params: SignalParams, wf: WaveformConfig, csig_rows: np.ndarray,
+                   f_doppler: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Noiseless received samples of a batch, rows trials: each trial's
+    code-modulated carrier at its Doppler and carrier phase, synthesized once
+    for all Doppler bins (complex baseband, or real IF when f_if > 0)."""
     lm = l_max_param(params)
+    t = np.arange(csig_rows.shape[1]) / wf.f_s
+    if wf.f_if == 0.0:
+        phase = 2.0 * np.pi * f_doppler[:, None] * t[None, :] + theta[:, None]
+        return math.sqrt(lm / 2.0) * csig_rows * np.exp(1j * phase)
+    carrier = np.cos(2.0 * np.pi * (wf.f_if + f_doppler[:, None]) * t[None, :]
+                     + theta[:, None])
+    return math.sqrt(2.0 * lm) * csig_rows * carrier
+
+
+def _synth_bin(params: SignalParams, wf: WaveformConfig, rng: np.random.Generator | None,
+               rx: np.ndarray, f_local: float) -> np.ndarray:
+    """One Doppler bin's samples, downconverted and folded to one code period
+    at chip rate: the received rows rx of `_received_rows` times the bin's
+    local-oscillator row, plus that bin's fresh noise; rows are trials.
+    rng None disables noise."""
+    nb, n_high = rx.shape
+    r, periods = wf._chip_layout(params.t_per)
     t = np.arange(n_high) / wf.f_s
     if wf.f_if == 0.0:
         # complex baseband: only the residual Doppler matters
-        phase = 2.0 * np.pi * (f_doppler[:, None] - f_local) * t[None, :] + theta[:, None]
-        base = math.sqrt(lm / 2.0) * csig_rows * np.exp(1j * phase)
+        base = rx * np.exp(-2j * np.pi * f_local * t)[None, :]
         if rng is not None:
             scale = math.sqrt(n_high / 2.0)
-            base = base + scale * (rng.standard_normal((nb, n_high))
-                                   + 1j * rng.standard_normal((nb, n_high)))
+            base.real += scale * rng.standard_normal((nb, n_high))
+            base.imag += scale * rng.standard_normal((nb, n_high))
     else:
-        # real IF: synthesize the passband samples and multiply down
-        carrier = np.cos(2.0 * np.pi * (wf.f_if + f_doppler[:, None]) * t[None, :]
-                         + theta[:, None])
-        y = math.sqrt(2.0 * lm) * csig_rows * carrier
+        # real IF: add the passband noise and multiply down
+        y = rx
         if rng is not None:
-            y = y + math.sqrt(float(n_high)) * rng.standard_normal((nb, n_high))
+            y = rx + math.sqrt(float(n_high)) * rng.standard_normal((nb, n_high))
         base = y * np.exp(-2j * np.pi * (wf.f_if + f_local) * t)[None, :]
     # average each chip's r samples, then sum the code periods coherently
     if r > 1:
@@ -271,8 +284,13 @@ def _synth_bin(params: SignalParams, wf: WaveformConfig, rng: np.random.Generato
 
 def _correlate_all_phases(baseband: np.ndarray, search_fft: np.ndarray) -> np.ndarray:
     """|X|^2 at every code phase: X[m] = (1/N) sum_n r[n] c[n - m]."""
-    x = np.fft.ifft(np.fft.fft(baseband, axis=1) * np.conj(search_fft)[None, :], axis=1)
-    return np.abs(x / CODE_LENGTH) ** 2
+    x = np.fft.fft(baseband, axis=1)
+    x *= np.conj(search_fft)
+    x = np.fft.ifft(x, axis=1)
+    x /= CODE_LENGTH
+    p = np.abs(x)
+    p *= p
+    return p
 
 
 def _code_rows(prn: int, cp: np.ndarray, r: int, periods: int) -> np.ndarray:
@@ -289,8 +307,8 @@ def noiseless_metric(params: SignalParams, wf: WaveformConfig, delta_f_hz: float
     code phase and a residual Doppler of delta_f_hz from the local frequency."""
     prn = wf.prn_signal
     csig = _code_rows(prn, np.array([code_phase]), *wf._chip_layout(params.t_per))
-    base = _synth_bin(params, wf, None, csig, np.array([float(delta_f_hz)]), 0.0,
-                      np.zeros(1))
+    rx = _received_rows(params, wf, csig, np.array([float(delta_f_hz)]), np.zeros(1))
+    base = _synth_bin(params, wf, None, rx, 0.0)
     search_fft = np.fft.fft(generate_ca_code(prn).chips.astype(np.float64))
     p = _correlate_all_phases(base, search_fft)
     return float(p[0, code_phase])
@@ -332,9 +350,10 @@ def _waveform_batch(rng: np.random.Generator, nb: int, config: SimConfig,
                     detection_run: bool):
     """The trial setup shared by every waveform-level search: draws nb
     trials' correct bins cb, phases cp, residual Dopplers and carrier phases
-    (in that order) and returns (cb, cp, powers), where powers yields each
-    Doppler bin's |X|^2 at every code phase (rows trials), drawing that
-    bin's noise as it is reached."""
+    (in that order), synthesizes their received carriers once, and returns
+    (cb, cp, powers), where powers yields each Doppler bin's |X|^2 at every
+    code phase (rows trials), downconverting with that bin's
+    local-oscillator row and drawing its noise as it is reached."""
     wf = config.waveform
     grid = config.grid
     k, n = grid.num_bins, CODE_LENGTH
@@ -343,14 +362,14 @@ def _waveform_batch(rng: np.random.Generator, nb: int, config: SimConfig,
     df0 = rng.uniform(-grid.bin_width_hz / 2.0, grid.bin_width_hz / 2.0, nb)
     theta = rng.uniform(0.0, 2.0 * math.pi, nb)
     centers = _bin_centers(grid)
-    fd = centers[cb] + df0
     csig = _code_rows(wf.prn_signal, cp, *wf._chip_layout(config.params.t_per))
+    rx = _received_rows(config.params, wf, csig, centers[cb] + df0, theta)
     search_fft = np.fft.fft(
         generate_ca_code(wf.search_prn(detection_run)).chips.astype(np.float64))
 
     def powers():
         for b in range(k):
-            base = _synth_bin(config.params, wf, rng, csig, fd, float(centers[b]), theta)
+            base = _synth_bin(config.params, wf, rng, rx, float(centers[b]))
             yield _correlate_all_phases(base, search_fft)
 
     return cb, cp, powers()

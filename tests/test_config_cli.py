@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import acqroc
 from acqroc.analytic import DopplerGrid, SearchOrder
 from acqroc.cli import main
 from acqroc.config import BetaGridSpec, ConfigError, ExperimentConfig, load_config
@@ -355,10 +357,14 @@ class TestCli:
         assert exc.value.code == 2
 
     def test_module_entry_point(self, tmp_path):
+        # the child imports the same acqroc as this process, with or without
+        # PYTHONPATH set by the caller
         bad = write_config(tmp_path, {"trials": -3})
+        src = os.path.dirname(os.path.dirname(acqroc.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "acqroc.cli", "roc", "--config", bad,
              "--out", str(tmp_path / "x.csv")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 2
         assert "config error" in proc.stderr

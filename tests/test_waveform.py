@@ -12,6 +12,7 @@ from acqroc.analytic import (
     SearchPolicy,
     SignalParams,
     cell_pfa,
+    default_beta_grid,
     global_pdet_code_first_exact,
     global_pfa,
     l_max_param,
@@ -129,6 +130,63 @@ class TestNoiselessChain:
         assert np.max(np.abs(got - want)) <= 1e-9 * want.max()
 
 
+class TestChainReference:
+    @pytest.mark.parametrize("t_per, wf", [
+        (1e-3, WaveformConfig()),
+        (2e-3, WaveformConfig()),
+        (1e-3, WaveformConfig(f_s=4.092e6, f_if=1.023e6)),
+    ], ids=["baseband-1ms", "baseband-2ms", "real-if"])
+    def test_powers_match_per_bin_synthesis(self, t_per, wf):
+        # reference: draw the trial setup and, per bin, the noise in the
+        # chain's order, synthesize each bin's received samples from scratch
+        # (carrier at the residual Doppler f_d - f_b, or the passband carrier
+        # multiplied down) and correlate them at full rate against every
+        # delayed copy of the search code
+        params = SignalParams(cn0_dbhz=40.0, t_per=t_per)
+        grid = DopplerGrid(500.0, 2000.0, t_per)
+        config = SimConfig(trials=1, seed=0, fidelity=Fidelity.WAVEFORM, params=params,
+                           grid=grid, policy=SearchPolicy(SearchOrder.CODE_PHASE_FIRST, 0),
+                           waveform=wf)
+        nb, k, seed = 3, grid.num_bins, 12345
+        n_high = wf.samples_per_period(t_per)
+        r = round(wf.f_s / 1.023e6)
+        lm = l_max_param(params)
+        rng = np.random.Generator(np.random.Philox(seed))
+        cb = rng.integers(0, k, nb)
+        cp = rng.integers(0, N, nb)
+        df0 = rng.uniform(-grid.bin_width_hz / 2.0, grid.bin_width_hz / 2.0, nb)
+        theta = rng.uniform(0.0, 2.0 * math.pi, nb)
+        centers = (np.arange(k) - (k - 1) / 2.0) * grid.bin_width_hz
+        fd = centers[cb] + df0
+        t = np.arange(n_high) / wf.f_s
+        chip = np.arange(n_high) // r
+        code = generate_ca_code(1).chips.astype(np.float64)
+        csig = code[(chip[None, :] - cp[:, None]) % N]
+        search = code[(chip[None, :] - np.arange(N)[:, None]) % N]
+        want = []
+        for fb in centers:
+            if wf.f_if == 0.0:
+                phase = 2.0 * np.pi * (fd[:, None] - fb) * t[None, :] + theta[:, None]
+                g1 = rng.standard_normal((nb, n_high))
+                g2 = rng.standard_normal((nb, n_high))
+                rx = (math.sqrt(lm / 2.0) * csig * np.exp(1j * phase)
+                      + math.sqrt(n_high / 2.0) * (g1 + 1j * g2))
+            else:
+                y = (math.sqrt(2.0 * lm) * csig
+                     * np.cos(2.0 * np.pi * (wf.f_if + fd[:, None]) * t[None, :]
+                              + theta[:, None])
+                     + math.sqrt(float(n_high)) * rng.standard_normal((nb, n_high)))
+                rx = y * np.exp(-2j * np.pi * (wf.f_if + fb) * t)[None, :]
+            want.append(np.abs(rx @ search.T / n_high) ** 2)
+        got_cb, got_cp, powers = _waveform_batch(np.random.Generator(np.random.Philox(seed)),
+                                                 nb, config, detection_run=True)
+        assert np.array_equal(got_cb, cb) and np.array_equal(got_cp, cp)
+        got = list(powers)
+        assert len(got) == k
+        for b in range(k):
+            assert np.max(np.abs(got[b] - want[b])) <= 1e-9, b
+
+
 class TestSearchPrnSelection:
     def test_defaults(self):
         wf = WaveformConfig()
@@ -154,6 +212,52 @@ class TestSingleWaveformTrial:
         rng = np.random.default_rng(8)
         seen = {run_waveform_trial(cfg, cfg.waveform, rng).classified for _ in range(40)}
         assert Classification.DETECTION in seen
+
+    def test_outcome_frequencies_match_the_sweep(self):
+        # the reference search over the synthesized cells and the batched
+        # replay of their segment maxima sample the same stopped search:
+        # detection, false-stop and no-stop frequencies agree within 4 sigma
+        # of their difference, in both visiting orders; K = 4 keeps it fast,
+        # and at beta = 8 noise cells before and after the correct phase
+        # stop a fair share of the searches, so the segment maxima matter
+        beta, trials = 8.0, 500
+        for order in SearchOrder:
+            cfg = SimConfig(trials=512, seed=19, fidelity=Fidelity.WAVEFORM, params=PARAMS,
+                            grid=DopplerGrid(1000.0, 2000.0, 1e-3),
+                            policy=SearchPolicy(order, 1, beta))
+            rng = np.random.default_rng(23)
+            single = {c: 0 for c in Classification}
+            for _ in range(trials):
+                single[run_waveform_trial(cfg, cfg.waveform, rng).classified] += 1
+            r = monte_carlo_sweep(cfg, [beta])[0]
+            swept = {Classification.DETECTION: r.n_detect,
+                     Classification.FALSE_STOP: r.n_false_stop,
+                     Classification.NO_STOP: r.n_no_stop}
+            for c in Classification:
+                p1, p2 = single[c] / trials, swept[c] / cfg.trials
+                se = math.sqrt(p1 * (1 - p1) / trials + p2 * (1 - p2) / cfg.trials)
+                assert abs(p1 - p2) < 4.0 * se, (order, c, p1, p2)
+
+
+class TestFixedSeedRegression:
+    def test_sweep_counts_are_pinned(self):
+        # counts of a small fixed-seed sweep (W = 1000 Hz, M = 0, code-first,
+        # the 60-point grid): a change to the waveform realizations (draw
+        # order, generator, synthesis arithmetic) shows here and must be
+        # announced
+        res = monte_carlo_sweep(_wave_config(256, 61), default_beta_grid())
+        assert [r.n_detect for r in res] == [
+            0, 1, 1, 1, 1, 2, 2, 2, 3, 3, 4, 5, 5, 5, 8, 11, 11, 16, 18, 23,
+            26, 36, 40, 54, 62, 72, 76, 80, 80, 74, 73, 64, 65, 60, 55, 48, 45, 37, 35, 32,
+            31, 31, 28, 28, 23, 17, 15, 13, 11, 10, 9, 9, 8, 7, 5, 5, 5, 4, 3, 3]
+        assert [r.n_false_stop for r in res] == [
+            256, 255, 255, 255, 255, 254, 254, 254, 253, 253, 252, 251, 251, 251, 248, 245,
+            245, 240, 238, 233, 230, 220, 211, 189, 166, 143, 113, 87, 72, 58, 44, 33, 23,
+            16, 10, 7, 5, 3, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+        assert [r.n_fa_stop for r in res] == [
+            256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256,
+            256, 256, 256, 256, 256, 255, 248, 234, 212, 179, 148, 114, 75, 55, 35, 22, 16,
+            11, 10, 8, 6, 3, 3, 3, 2, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 
 
 class TestWaveformStatistics:
