@@ -30,11 +30,11 @@ periods summed coherently, so the correlator still averages all N_high
 samples of the integration and the audit is unchanged.
 
 Determinism.  Trials are processed in fixed-size batches; batch i of run
-tag t derives its own counter-based (Philox) substream from
-SeedSequence((seed, t)).spawn().  Thresholds are applied post hoc to
-recorded per-trial segment maxima, so one pass serves a whole beta grid,
-and all aggregation is integer counting: results are identical for any
-worker count.
+tag t draws from its own SFC64 generator, seeded with the i-th child of
+SeedSequence((seed, t)).spawn(), at both fidelities.  Thresholds are
+applied post hoc to recorded per-trial segment maxima, so one pass serves a
+whole beta grid, and all aggregation is integer counting: results are
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -257,22 +257,32 @@ def _synth_bin(params: SignalParams, wf: WaveformConfig, rng: np.random.Generato
     """One Doppler bin's samples, downconverted and folded to one code period
     at chip rate: the received rows rx of `_received_rows` times the bin's
     local-oscillator row, plus that bin's fresh noise; rows are trials.
-    rng None disables noise."""
+    At baseband the noise is one standard_normal((nb, 2 n_high)) draw read
+    as complex (real and imaginary parts interleaved), scaled in place to
+    per-component variance n_high/2, with the downconverted carrier added in
+    place; at real IF it is one standard_normal((nb, n_high)) plane of
+    variance n_high added before the downconversion.  rng None disables
+    noise."""
     nb, n_high = rx.shape
     r, periods = wf._chip_layout(params.t_per)
     t = np.arange(n_high) / wf.f_s
     if wf.f_if == 0.0:
         # complex baseband: only the residual Doppler matters
-        base = rx * np.exp(-2j * np.pi * f_local * t)[None, :]
-        if rng is not None:
-            scale = math.sqrt(n_high / 2.0)
-            base.real += scale * rng.standard_normal((nb, n_high))
-            base.imag += scale * rng.standard_normal((nb, n_high))
+        lo = np.exp(-2j * np.pi * f_local * t)
+        if rng is None:
+            base = rx * lo
+        else:
+            g = rng.standard_normal((nb, 2 * n_high))
+            g *= math.sqrt(n_high / 2.0)
+            base = g.view(np.complex128)
+            base += rx * lo
     else:
         # real IF: add the passband noise and multiply down
         y = rx
         if rng is not None:
-            y = rx + math.sqrt(float(n_high)) * rng.standard_normal((nb, n_high))
+            y = rng.standard_normal((nb, n_high))
+            y *= math.sqrt(float(n_high))
+            y += rx
         base = y * np.exp(-2j * np.pi * (wf.f_if + f_local) * t)[None, :]
     # average each chip's r samples, then sum the code periods coherently
     if r > 1:
@@ -282,15 +292,25 @@ def _synth_bin(params: SignalParams, wf: WaveformConfig, rng: np.random.Generato
     return base
 
 
-def _correlate_all_phases(baseband: np.ndarray, search_fft: np.ndarray) -> np.ndarray:
-    """|X|^2 at every code phase: X[m] = (1/N) sum_n r[n] c[n - m]."""
-    x = np.fft.fft(baseband, axis=1)
-    x *= np.conj(search_fft)
-    x = np.fft.ifft(x, axis=1)
-    x /= CODE_LENGTH
-    p = np.abs(x)
-    p *= p
-    return p
+def _search_spectrum(prn: int) -> np.ndarray:
+    """conj(C)/N^2 for the DFT C of a search code: the correlator's spectral
+    factor, computed once per batch."""
+    chips = generate_ca_code(prn).chips.astype(np.float64)
+    return np.conj(np.fft.fft(chips)) / CODE_LENGTH ** 2
+
+
+def _correlate_all_phases(baseband: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """|X|^2 at every code phase: X[m] = (1/N) sum_n r[n] c[n - m].  With
+    spectrum = conj(C)/N^2 of `_search_spectrum`, X is the unscaled inverse
+    DFT (norm="forward") of the rows' DFT times the spectrum; both
+    transforms run in place in baseband, which they overwrite, and the
+    power is re^2 + im^2."""
+    x = np.fft.fft(baseband, axis=1, out=baseband)
+    x *= spectrum
+    x = np.fft.ifft(x, axis=1, norm="forward", out=x)
+    v = x.view(np.float64)
+    v *= v
+    return v[:, 0::2] + v[:, 1::2]
 
 
 def _code_rows(prn: int, cp: np.ndarray, r: int, periods: int) -> np.ndarray:
@@ -309,8 +329,7 @@ def noiseless_metric(params: SignalParams, wf: WaveformConfig, delta_f_hz: float
     csig = _code_rows(prn, np.array([code_phase]), *wf._chip_layout(params.t_per))
     rx = _received_rows(params, wf, csig, np.array([float(delta_f_hz)]), np.zeros(1))
     base = _synth_bin(params, wf, None, rx, 0.0)
-    search_fft = np.fft.fft(generate_ca_code(prn).chips.astype(np.float64))
-    p = _correlate_all_phases(base, search_fft)
+    p = _correlate_all_phases(base, _search_spectrum(prn))
     return float(p[0, code_phase])
 
 
@@ -364,32 +383,42 @@ def _waveform_batch(rng: np.random.Generator, nb: int, config: SimConfig,
     centers = _bin_centers(grid)
     csig = _code_rows(wf.prn_signal, cp, *wf._chip_layout(config.params.t_per))
     rx = _received_rows(config.params, wf, csig, centers[cb] + df0, theta)
-    search_fft = np.fft.fft(
-        generate_ca_code(wf.search_prn(detection_run)).chips.astype(np.float64))
+    spectrum = _search_spectrum(wf.search_prn(detection_run))
 
     def powers():
+        # no local keeps a bin's samples alive while the next bin is drawn
         for b in range(k):
-            base = _synth_bin(config.params, wf, rng, rx, float(centers[b]))
-            yield _correlate_all_phases(base, search_fft)
+            yield _correlate_all_phases(
+                _synth_bin(config.params, wf, rng, rx, float(centers[b])), spectrum)
 
     return cb, cp, powers()
+
+
+def _segment_maxima(p: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """Per row of p (trials x code phases), the maxima of the cells before
+    the row's correct phase cp, at it and after it, as the columns of a
+    (rows, 3) array, from one reduceat over the flat powers; an empty
+    segment (cp = 0 before, cp = N - 1 after) gives -inf."""
+    nb, n = p.shape
+    starts = np.arange(nb)[:, None] * n + np.stack([np.zeros_like(cp), cp, cp + 1], axis=1)
+    # a last row with cp = N - 1 starts its empty after-segment at p.size,
+    # past the end; clipped, it still ends that row's one-cell segment at cp
+    out = np.maximum.reduceat(p.ravel(), np.minimum(starts.ravel(), p.size - 1))
+    out = out.reshape(nb, 3)
+    out[cp == 0, 0] = -np.inf
+    out[cp == n - 1, 2] = -np.inf
+    return out
 
 
 def _record_waveform_batch(rng: np.random.Generator, nb: int,
                            config: SimConfig) -> _Records:
     k = config.grid.num_bins
     cb, cp, powers = _waveform_batch(rng, nb, config, detection_run=True)
-    phases = np.arange(CODE_LENGTH)[None, :]
-    is_pre = phases < cp[:, None]
-    is_post = phases > cp[:, None]
     sig = np.empty((nb, k))
     pre = np.empty((nb, k))
     post = np.empty((nb, k))
-    rows = np.arange(nb)
     for b, p in enumerate(powers):
-        sig[:, b] = p[rows, cp]
-        pre[:, b] = np.where(is_pre, p, -np.inf).max(axis=1)
-        post[:, b] = np.where(is_post, p, -np.inf).max(axis=1)
+        pre[:, b], sig[:, b], post[:, b] = _segment_maxima(p, cp).T
     return _Records(cb=cb, sig=sig, pre=pre, post=post)
 
 
@@ -475,7 +504,7 @@ def _run_batches(config: SimConfig, run_tag: int, worker, workers: int):
     seeds = np.random.SeedSequence(entropy=(int(config.seed), run_tag)).spawn(len(sizes))
 
     def job(i: int):
-        rng = np.random.Generator(np.random.Philox(seeds[i]))
+        rng = np.random.Generator(np.random.SFC64(seeds[i]))
         return worker(rng, sizes[i])
 
     if workers <= 1:

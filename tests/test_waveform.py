@@ -22,6 +22,10 @@ from acqroc.simulator import (
     Fidelity,
     SimConfig,
     WaveformConfig,
+    _correlate_all_phases,
+    _search_spectrum,
+    _segment_maxima,
+    _synth_bin,
     _waveform_batch,
     dirichlet_kernel,
     monte_carlo_sweep,
@@ -138,10 +142,12 @@ class TestChainReference:
     ], ids=["baseband-1ms", "baseband-2ms", "real-if"])
     def test_powers_match_per_bin_synthesis(self, t_per, wf):
         # reference: draw the trial setup and, per bin, the noise in the
-        # chain's order, synthesize each bin's received samples from scratch
-        # (carrier at the residual Doppler f_d - f_b, or the passband carrier
-        # multiplied down) and correlate them at full rate against every
-        # delayed copy of the search code
+        # chain's order and layout (at baseband one draw of 2 n_high normals
+        # per trial, real and imaginary parts interleaved), synthesize each
+        # bin's received samples from scratch (carrier at the residual
+        # Doppler f_d - f_b, or the passband carrier multiplied down) and
+        # correlate them at full rate against every delayed copy of the
+        # search code
         params = SignalParams(cn0_dbhz=40.0, t_per=t_per)
         grid = DopplerGrid(500.0, 2000.0, t_per)
         config = SimConfig(trials=1, seed=0, fidelity=Fidelity.WAVEFORM, params=params,
@@ -167,10 +173,10 @@ class TestChainReference:
         for fb in centers:
             if wf.f_if == 0.0:
                 phase = 2.0 * np.pi * (fd[:, None] - fb) * t[None, :] + theta[:, None]
-                g1 = rng.standard_normal((nb, n_high))
-                g2 = rng.standard_normal((nb, n_high))
+                g = rng.standard_normal((nb, 2 * n_high))
+                noise = g[:, 0::2] + 1j * g[:, 1::2]
                 rx = (math.sqrt(lm / 2.0) * csig * np.exp(1j * phase)
-                      + math.sqrt(n_high / 2.0) * (g1 + 1j * g2))
+                      + math.sqrt(n_high / 2.0) * noise)
             else:
                 y = (math.sqrt(2.0 * lm) * csig
                      * np.cos(2.0 * np.pi * (wf.f_if + fd[:, None]) * t[None, :]
@@ -185,6 +191,54 @@ class TestChainReference:
         assert len(got) == k
         for b in range(k):
             assert np.max(np.abs(got[b] - want[b])) <= 1e-9, b
+
+
+class TestSegmentMaxima:
+    @pytest.mark.parametrize("nb, last_cp", [(37, N - 1), (37, 0), (1, N - 1), (1, 0)])
+    def test_matches_masked_maxima(self, nb, last_cp):
+        # the one-reduceat maxima equal, bit for bit, the masked maxima of
+        # the cells before and after the correct phase and the cell at it;
+        # rows with cp = 0 (nothing before) and cp = N - 1 (nothing after),
+        # the last row among them, give -inf for the empty segment
+        rng = np.random.default_rng(nb)
+        p = rng.exponential(size=(nb, N))
+        cp = rng.integers(0, N, nb)
+        cp[3::7] = 0
+        cp[5::7] = N - 1
+        cp[-1] = last_cp
+        got = _segment_maxima(p, cp)
+        phases = np.arange(N)[None, :]
+        assert np.array_equal(got[:, 0], np.where(phases < cp[:, None], p, -np.inf).max(axis=1))
+        assert np.array_equal(got[:, 1], p[np.arange(nb), cp])
+        assert np.array_equal(got[:, 2], np.where(phases > cp[:, None], p, -np.inf).max(axis=1))
+
+
+class TestNoiseUnits:
+    @pytest.mark.parametrize("wf", [WaveformConfig(), WaveformConfig(f_s=4.092e6, f_if=1.023e6)],
+                             ids=["baseband", "real-if"])
+    def test_signal_free_cells_are_unit_exponential(self, wf):
+        # with the signal switched off every cell |X|^2 is Exp(1), i.e. the
+        # noise has per-component variance 1/2 after the correlator: the
+        # mean over all cells and the exceedance fractions at beta = 2, 5
+        # sit within 4 sigma of 1 and e^-beta; the cells of one row are
+        # correlated through the code autocorrelation rho(d), which inflates
+        # the variance of a row mean by sum_d |rho(d)|^2 (1.94 for PRN 1),
+        # and to first order in |rho|^2 bounds the exceedance inflation too
+        nb, n_high = 256, wf.samples_per_period(PARAMS.t_per)
+        rng = np.random.Generator(np.random.SFC64(7))
+        rx = np.zeros((nb, n_high))
+        spectrum = _search_spectrum(1)
+        cells = np.concatenate([
+            _correlate_all_phases(_synth_bin(PARAMS, wf, rng, rx, f_local), spectrum)
+            for f_local in (-2000.0, 0.0, 500.0, 1500.0)]).ravel()
+        code = generate_ca_code(1).chips.astype(np.float64)
+        rho = np.fft.ifft(np.abs(np.fft.fft(code)) ** 2).real / N
+        inflation = float(np.sum(rho ** 2))
+        assert abs(cells.mean() - 1.0) < 4.0 * math.sqrt(inflation / cells.size)
+        for beta in (2.0, 5.0):
+            q = math.exp(-beta)
+            se = math.sqrt(q * (1.0 - q) * inflation / cells.size)
+            assert abs(np.mean(cells > beta) - q) < 4.0 * se, beta
 
 
 class TestSearchPrnSelection:
@@ -247,17 +301,17 @@ class TestFixedSeedRegression:
         # announced
         res = monte_carlo_sweep(_wave_config(256, 61), default_beta_grid())
         assert [r.n_detect for r in res] == [
-            0, 1, 1, 1, 1, 2, 2, 2, 3, 3, 4, 5, 5, 5, 8, 11, 11, 16, 18, 23,
-            26, 36, 40, 54, 62, 72, 76, 80, 80, 74, 73, 64, 65, 60, 55, 48, 45, 37, 35, 32,
-            31, 31, 28, 28, 23, 17, 15, 13, 11, 10, 9, 9, 8, 7, 5, 5, 5, 4, 3, 3]
+            0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 3, 4, 8, 10, 13, 17, 22, 29, 36, 44, 48,
+            49, 50, 53, 58, 62, 61, 60, 61, 54, 50, 47, 47, 43, 42, 39, 37, 29, 26, 23, 20,
+            18, 15, 14, 10, 10, 7, 7, 7, 6, 6, 6, 5, 4, 3, 2, 2]
         assert [r.n_false_stop for r in res] == [
-            256, 255, 255, 255, 255, 254, 254, 254, 253, 253, 252, 251, 251, 251, 248, 245,
-            245, 240, 238, 233, 230, 220, 211, 189, 166, 143, 113, 87, 72, 58, 44, 33, 23,
-            16, 10, 7, 5, 3, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+            256, 256, 256, 255, 255, 255, 255, 255, 255, 255, 255, 255, 254, 253, 252, 248,
+            246, 243, 239, 234, 227, 218, 206, 194, 177, 153, 125, 104, 80, 56, 42, 29, 20,
+            13, 13, 10, 6, 3, 2, 2, 2, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
         assert [r.n_fa_stop for r in res] == [
             256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256,
-            256, 256, 256, 256, 256, 255, 248, 234, 212, 179, 148, 114, 75, 55, 35, 22, 16,
-            11, 10, 8, 6, 3, 3, 3, 2, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+            256, 256, 256, 254, 252, 252, 248, 235, 215, 178, 150, 126, 101, 78, 53, 35, 25,
+            20, 16, 14, 9, 4, 3, 3, 3, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 
 
 class TestWaveformStatistics:
