@@ -217,12 +217,13 @@ def _exp_block_max(rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
 
 def _realized_l(params: SignalParams, grid: DopplerGrid, l_max: int,
                 cb: np.ndarray, df0: np.ndarray) -> np.ndarray:
-    """Per-bin non-centrality for each trial: rows trials, columns bins."""
-    k = grid.num_bins
-    offsets = np.arange(k)[None, :] - cb[:, None]
-    resid = df0[:, None] - offsets * grid.bin_width_hz
-    lvals = l_max_param(params) * np.sinc(resid * grid.t_per) ** 2
-    lvals[np.abs(offsets) > l_max] = 0.0
+    """Per-bin non-centrality for each trial: rows trials, columns bins;
+    sinc^2 is evaluated only on the +-l_max band, zero outside it."""
+    offsets = np.arange(grid.num_bins)[None, :] - cb[:, None]
+    rows, bins = np.nonzero(np.abs(offsets) <= l_max)
+    resid = df0[rows] - offsets[rows, bins] * grid.bin_width_hz
+    lvals = np.zeros(offsets.shape)
+    lvals[rows, bins] = l_max_param(params) * np.sinc(resid * grid.t_per) ** 2
     return lvals
 
 
@@ -464,26 +465,24 @@ def _detection_intervals(rec: _Records, order: SearchOrder
 def _count_detection(rec: _Records, order: SearchOrder, betas: np.ndarray,
                      k: int) -> tuple[np.ndarray, np.ndarray]:
     """Difference-array counts: correct-phase stops per (offset, beta index)
-    and any-stop counts per beta index."""
-    hist = np.zeros((2 * k - 1, betas.size + 1), dtype=np.int64)
+    and any-stop counts per beta index.  Only the (trial, bin) pairs with
+    hi > lo can hold a threshold, so only they are searched; an interval
+    [i_lo, i_hi) adds +1 at i_lo and -1 at i_hi of its offset's row."""
+    width = betas.size + 1
     lo, hi, gmax = _detection_intervals(rec, order)
-    for b in range(k):
-        i_lo = np.searchsorted(betas, lo[:, b], side="left")
-        i_hi = np.searchsorted(betas, hi[:, b], side="left")
-        valid = i_hi > i_lo
-        if not valid.any():
-            continue
-        off_idx = (b - rec.cb[valid]) + (k - 1)
-        np.add.at(hist, (off_idx, i_lo[valid]), 1)
-        np.add.at(hist, (off_idx, i_hi[valid]), -1)
-    return hist, _count_stops(gmax, betas)
+    rows, bins = np.nonzero(hi > lo)
+    i_lo = np.searchsorted(betas, lo[rows, bins], side="left")
+    i_hi = np.searchsorted(betas, hi[rows, bins], side="left")
+    cell = (bins - rec.cb[rows] + (k - 1)) * width
+    size = (2 * k - 1) * width
+    hist = np.bincount(cell + i_lo, minlength=size) - np.bincount(cell + i_hi, minlength=size)
+    return hist.reshape(2 * k - 1, width), _count_stops(gmax, betas)
 
 
 def _count_stops(gmax: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    out = np.zeros(betas.size + 1, dtype=np.int64)
-    i_g = np.searchsorted(betas, gmax, side="left")
-    np.add.at(out, 0, np.count_nonzero(i_g > 0))
-    np.add.at(out, i_g[i_g > 0], -1)
+    """Difference-array counts of the stops [0, i_g) per beta index."""
+    out = -np.bincount(np.searchsorted(betas, gmax, side="left"), minlength=betas.size + 1)
+    out[0] += gmax.size
     return out
 
 
