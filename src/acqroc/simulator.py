@@ -4,12 +4,13 @@ Metric level draws each cell's decision metric from its exact
 per-realization distribution: noise cells are Exp(1), the correct-phase
 cell of the bin at signed offset s is |sqrt(L/2) e^{j psi} + n|^2 with
 L = L_max sinc^2((df0 - s W) T_per) for the realized residual Doppler df0
-(zero beyond the l_max truncation).  Waveform level synthesizes each
-trial's received code-modulated carrier once, then per Doppler bin
-downconverts it with that bin's local-oscillator row, adds a fresh white
-noise realization, despreads at every code phase, averages, and squares;
-the metrics then come out of the arithmetic instead of out of a
-distribution.
+(zero beyond the l_max truncation, where that cell is drawn as the Exp(1)
+it then is; only the +-l_max band takes the non-central draw).  Waveform
+level synthesizes each trial's received code-modulated carrier once, then
+per Doppler bin downconverts it with that bin's local-oscillator row, adds
+a fresh white noise realization, despreads at every code phase, averages,
+and squares; the metrics then come out of the arithmetic instead of out of
+a distribution.
 
 Unit audit (waveform level).  The decision metric must have noise with
 per-component variance 1/2 so thresholds mean the same thing in both
@@ -355,12 +356,19 @@ class _Records:
 
 def _record_metric_batch(rng: np.random.Generator, nb: int,
                          config: SimConfig) -> _Records:
+    """Draws cb, cp and df0, then every correct-phase cell as Exp(1), then
+    the non-central metrics of the cells within +-l_max of the correct bin
+    over those, then the pre and post maxima.  Outside the band L = 0, where
+    |sqrt(L/2) e^{j psi} + n|^2 is exactly Exp(1)."""
     grid = config.grid
     k, n = grid.num_bins, CODE_LENGTH
     cb = rng.integers(0, k, nb)
     cp = rng.integers(0, n, nb)
     df0 = rng.uniform(-grid.bin_width_hz / 2.0, grid.bin_width_hz / 2.0, nb)
-    sig = draw_metric(_realized_l(config.params, grid, config.l_max, cb, df0), rng)
+    lvals = _realized_l(config.params, grid, config.l_max, cb, df0)
+    sig = rng.standard_exponential((nb, k))
+    band = np.abs(np.arange(k)[None, :] - cb[:, None]) <= config.l_max
+    sig[band] = draw_metric(lvals[band], rng)
     pre = _exp_block_max(rng, np.broadcast_to(cp[:, None], (nb, k)))
     post = _exp_block_max(rng, np.broadcast_to((n - 1 - cp)[:, None], (nb, k)))
     return _Records(cb=cb, sig=sig, pre=pre, post=post)

@@ -5,7 +5,9 @@ Each trial draws every cell metric of the K x N grid (metric level) or
 synthesizes every bin (waveform level, through the simulator's own trial
 setup) and walks the cells in visiting order until one crosses beta, so the
 outcome follows from the definition of the search rather than from the
-segment-maxima bookkeeping that monte_carlo_sweep replays.
+segment-maxima bookkeeping that monte_carlo_sweep replays.  replay_records
+walks recorded segment maxima the same way, one threshold at a time, as the
+reference for the batched interval counting.
 """
 
 from dataclasses import dataclass, replace
@@ -82,3 +84,38 @@ def run_waveform_trial(config: SimConfig, waveform: WaveformConfig,
                                      detection_run=True)
     stop = _serial_search(np.concatenate(list(powers)), config.policy.order, beta)
     return _classify(stop, int(cb[0]), int(cp[0]), config.policy.accept_half_width)
+
+
+def _first_stop(pre: np.ndarray, sig: np.ndarray, post: np.ndarray, order: SearchOrder,
+                beta: float) -> tuple[int, bool] | None:
+    """(bin, at the correct phase) of the first segment whose maximum
+    exceeds beta, visiting the segments of one recorded trial in search
+    order, or None."""
+    segments = ((pre, False), (sig, True), (post, False))
+    k = sig.size
+    if order is SearchOrder.CODE_PHASE_FIRST:
+        visits = [(b, seg) for b in range(k) for seg in segments]
+    else:
+        visits = [(b, seg) for seg in segments for b in range(k)]
+    for b, (values, correct) in visits:
+        if values[b] > beta:
+            return b, correct
+    return None
+
+
+def replay_records(rec, order: SearchOrder, betas: np.ndarray,
+                   k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Serial replay of recorded segment maxima at each threshold in turn:
+    correct-phase stops per (offset from the correct bin + k - 1, beta
+    index) and stops of any kind per beta index."""
+    det = np.zeros((2 * k - 1, betas.size), dtype=np.int64)
+    stops = np.zeros(betas.size, dtype=np.int64)
+    for j, beta in enumerate(betas):
+        for t, cb in enumerate(rec.cb):
+            stop = _first_stop(rec.pre[t], rec.sig[t], rec.post[t], order, float(beta))
+            if stop is None:
+                continue
+            stops[j] += 1
+            if stop[1]:
+                det[stop[0] - cb + k - 1, j] += 1
+    return det, stops

@@ -14,6 +14,7 @@ from acqroc.analytic import (
     SearchPolicy,
     SignalParams,
     cell_pdet,
+    default_beta_grid,
     cell_pfa,
     global_pdet_code_first_exact,
     global_pdet_doppler_first,
@@ -23,12 +24,17 @@ from acqroc.prncode import CODE_LENGTH
 from acqroc.simulator import (
     Fidelity,
     SimConfig,
+    _count_detection,
+    _count_stops,
     _exp_block_max,
+    _Records,
+    _realized_l,
+    _record_metric_batch,
     draw_metric,
     monte_carlo_sweep,
     wilson_interval,
 )
-from single_trial import Classification, run_metric_trial
+from single_trial import Classification, replay_records, run_metric_trial
 
 PARAMS = SignalParams(cn0_dbhz=40.0, t_per=1e-3)
 N = CODE_LENGTH
@@ -131,6 +137,34 @@ class TestBlockMaximum:
                 assert abs(x - want) <= 1e-12 * want, u
 
 
+class TestMetricUnits:
+    @pytest.mark.parametrize("width", [200.0, 1000.0])
+    def test_correct_phase_cells_by_band(self, width):
+        # replay the batch's cb and df0 from the same seed: beyond +-lmax
+        # the correct-phase cells are Exp(1) (mean, and exceedance at
+        # beta = 2, 5, within 4 sigma of 1 and e^-beta); within the band
+        # their mean is 1 + L/2 over the realized L within 4 sigma, with
+        # per-cell variance 1 + L
+        cfg, nb = _config(width=width), 4096
+        rec = _record_metric_batch(np.random.Generator(np.random.SFC64(13)), nb, cfg)
+        replay = np.random.Generator(np.random.SFC64(13))
+        k = cfg.grid.num_bins
+        cb = replay.integers(0, k, nb)
+        replay.integers(0, N, nb)
+        df0 = replay.uniform(-width / 2.0, width / 2.0, nb)
+        np.testing.assert_array_equal(rec.cb, cb)
+        band = np.abs(np.arange(k)[None, :] - cb[:, None]) <= cfg.l_max
+        noise = rec.sig[~band]
+        assert abs(noise.mean() - 1.0) < 4.0 / math.sqrt(noise.size)
+        for beta in (2.0, 5.0):
+            q = math.exp(-beta)
+            se = math.sqrt(q * (1.0 - q) / noise.size)
+            assert abs(np.mean(noise > beta) - q) < 4.0 * se, beta
+        lvals = _realized_l(PARAMS, cfg.grid, cfg.l_max, cb, df0)[band]
+        se = math.sqrt(np.sum(1.0 + lvals)) / lvals.size
+        assert abs(rec.sig[band].mean() - np.mean(1.0 + lvals / 2.0)) < 4.0 * se
+
+
 class TestSingleTrial:
     def test_zero_threshold_stops_immediately(self):
         cfg = _config(trials=1, threshold=0.0)
@@ -177,6 +211,54 @@ class TestSingleTrial:
         assert counts[Classification.DETECTION] > 0
         assert counts[Classification.FALSE_STOP] > 0
         assert counts[Classification.NO_STOP] > 0
+
+
+def _difference_array(counts: np.ndarray) -> np.ndarray:
+    """Per-beta counts as the difference array the sweep accumulates: one
+    more column, whose running sums give the counts and then 0."""
+    return np.diff(counts, axis=-1, prepend=0, append=0)
+
+
+class TestCountReplay:
+    @staticmethod
+    def _records(rng, nb, k, betas, tie_share=0.2):
+        # noise-like maxima with a share of entries set exactly to grid
+        # thresholds, and rows with an empty segment before (cp = 0) or
+        # after (cp = N - 1) the correct phase
+        cb = rng.integers(0, k, nb)
+        sig, pre, post = (rng.exponential(4.0, (nb, k)) for _ in range(3))
+        pre[:nb // 8] = -np.inf
+        post[nb // 8:nb // 4] = -np.inf
+        for a in (sig, pre, post):
+            tie = (rng.random(a.shape) < tie_share) & np.isfinite(a)
+            a[tie] = rng.choice(betas, np.count_nonzero(tie))
+        return _Records(cb=cb, sig=sig, pre=pre, post=post)
+
+    def test_counts_match_serial_replay(self):
+        # exact equality, element for element, of the batched interval
+        # counts and a per-threshold serial walk over the same records;
+        # the last case's pre maxima exceed every signal cell, so no
+        # (trial, bin) pair has a threshold interval
+        betas = default_beta_grid()
+        rng = np.random.default_rng(29)
+        quiet = self._records(rng, 64, 10, betas)
+        quiet.pre[:] = 50.0
+        cases = [(self._records(rng, 160, 10, betas), 10),
+                 (self._records(rng, 96, 3, betas, tie_share=0.5), 3), (quiet, 10)]
+        for rec, k in cases:
+            for order in SearchOrder:
+                det, stops = replay_records(rec, order, betas, k)
+                hist, any_stops = _count_detection(rec, order, betas, k)
+                np.testing.assert_array_equal(hist, _difference_array(det), err_msg=str(order))
+                np.testing.assert_array_equal(any_stops, _difference_array(stops))
+        assert not hist.any() and any_stops.any()
+
+    def test_stop_counts_match_direct_count(self):
+        betas = default_beta_grid()
+        rng = np.random.default_rng(31)
+        gmax = np.concatenate([rng.exponential(6.0, 500), rng.choice(betas, 100), [0.0, 99.0]])
+        want = np.array([np.count_nonzero(gmax > b) for b in betas])
+        np.testing.assert_array_equal(_count_stops(gmax, betas), _difference_array(want))
 
 
 class TestSweepAgainstClosedForms:
@@ -248,6 +330,29 @@ class TestSweepBookkeeping:
             SimConfig(trials=10, seed=0, fidelity=Fidelity.WAVEFORM,
                       params=SignalParams(40.0, 1.5e-3), grid=DopplerGrid(1000.0, 5000.0, 1.5e-3),
                       policy=SearchPolicy(SearchOrder.CODE_PHASE_FIRST, 0))
+
+
+class TestFixedSeedRegression:
+    def test_sweep_counts_are_pinned(self):
+        # counts of a small fixed-seed sweep (W = 1000 Hz, M = 1, 5000
+        # trials: one full batch and one partial) in both orders: a change
+        # to the metric-level realizations (draw order, generator, which
+        # cells take the non-central draw) shows here and must be announced
+        betas = np.linspace(4.0, 15.0, 12)
+        want = {
+            SearchOrder.CODE_PHASE_FIRST: (
+                [25, 59, 168, 356, 746, 1244, 1390, 1307, 1067, 818, 631, 473],
+                [4975, 4941, 4832, 4644, 4173, 2995, 1579, 702, 283, 105, 39, 13]),
+            SearchOrder.DOPPLER_FIRST: (
+                [31, 67, 171, 378, 782, 1272, 1424, 1325, 1069, 818, 631, 473],
+                [4969, 4933, 4829, 4622, 4137, 2967, 1545, 684, 281, 105, 39, 13]),
+        }
+        fa = [5000, 5000, 5000, 5000, 4851, 3596, 1903, 800, 330, 124, 43, 9]
+        for order, (det, false_stop) in want.items():
+            res = monte_carlo_sweep(_config(m=1, order=order, trials=5000, seed=43), betas)
+            assert [r.n_detect for r in res] == det, order
+            assert [r.n_false_stop for r in res] == false_stop, order
+            assert [r.n_fa_stop for r in res] == fa, order
 
 
 class TestReproducibility:
