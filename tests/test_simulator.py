@@ -14,8 +14,8 @@ from acqroc.analytic import (
     SearchPolicy,
     SignalParams,
     cell_pdet,
-    default_beta_grid,
     cell_pfa,
+    default_beta_grid,
     global_pdet_code_first_exact,
     global_pdet_doppler_first,
     global_pfa,
@@ -25,7 +25,6 @@ from acqroc.simulator import (
     Fidelity,
     SimConfig,
     _count_detection,
-    _count_stops,
     _exp_block_max,
     _Records,
     _realized_l,
@@ -252,13 +251,6 @@ class TestCountReplay:
                 np.testing.assert_array_equal(hist, _difference_array(det), err_msg=str(order))
                 np.testing.assert_array_equal(any_stops, _difference_array(stops))
         assert not hist.any() and any_stops.any()
-
-    def test_stop_counts_match_direct_count(self):
-        betas = default_beta_grid()
-        rng = np.random.default_rng(31)
-        gmax = np.concatenate([rng.exponential(6.0, 500), rng.choice(betas, 100), [0.0, 99.0]])
-        want = np.array([np.count_nonzero(gmax > b) for b in betas])
-        np.testing.assert_array_equal(_count_stops(gmax, betas), _difference_array(want))
 
 
 class TestSweepAgainstClosedForms:
