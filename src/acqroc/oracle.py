@@ -3,8 +3,9 @@
 For independent cells the event "the search stops at visit i" has
 probability p(v_i) * prod_{j<i} (1 - p(v_j)); no approximation enters, so
 this module serves as the ground truth the closed-form global detection
-formulas are checked against.  Cost is O(K N) per placement, which keeps
-exhaustive averaging over all correct-cell placements cheap at small K, N.
+formulas are checked against.  averaged_detection evaluates all K*N
+correct-cell placements at once: one cumprod along the visit order per stack
+probs[placement, bin, phase] capped at _MAX_STACK_CELLS cells to bound memory.
 """
 
 from __future__ import annotations
@@ -16,6 +17,14 @@ import numpy as np
 from .analytic import NonCentralityProfile, SearchOrder, cell_pdet, cell_pfa
 
 __all__ = ["CellProbabilityGrid", "stop_distribution", "averaged_detection"]
+
+_MAX_STACK_CELLS = 1 << 20
+
+
+def _check_probs(p: np.ndarray) -> None:
+    # NaN fails both comparisons, so non-finite values are rejected too
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("cell probabilities must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -30,60 +39,45 @@ class CellProbabilityGrid:
         p = self.probs
         if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
             raise ValueError("probs must be a K x N matrix with K, N >= 1")
-        if np.any(~np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0):
-            raise ValueError("cell probabilities must lie in [0, 1]")
+        _check_probs(p)
         k, n = p.shape
         for b, ph in self.accepted:
             if not (0 <= b < k and 0 <= ph < n):
                 raise ValueError(f"accepted cell {(b, ph)} outside the grid")
 
 
+def _stop_probs(probs: np.ndarray, order: SearchOrder) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell stops, shaped like probs[..., K, N], and per-grid no-stop."""
+    if order not in (SearchOrder.CODE_PHASE_FIRST, SearchOrder.DOPPLER_FIRST):
+        raise ValueError(f"unknown search order {order!r}")
+    visit = probs if order is SearchOrder.CODE_PHASE_FIRST else probs.swapaxes(-1, -2)
+    flat = visit.reshape(visit.shape[:-2] + (-1,))
+    survive = np.cumprod(1.0 - flat, axis=-1)
+    stop = flat.copy()
+    stop[..., 1:] *= survive[..., :-1]
+    stop = stop.reshape(visit.shape)
+    return (stop if visit is probs else stop.swapaxes(-1, -2)), survive[..., -1]
+
+
 def stop_distribution(grid: CellProbabilityGrid,
                       order: SearchOrder) -> tuple[np.ndarray, float]:
-    """Stop probability per cell plus the no-stop probability.
-
-    Returns (stop, no_stop) with stop shaped like grid.probs; all K*N + 1
-    outcomes partition the sample space and sum to 1.
-    """
-    p = grid.probs
-    if order is SearchOrder.CODE_PHASE_FIRST:
-        visit = p.reshape(-1)
-    elif order is SearchOrder.DOPPLER_FIRST:
-        visit = p.T.reshape(-1)
-    else:
-        raise ValueError(f"unknown search order {order!r}")
-    survive = np.cumprod(1.0 - visit)
-    before = np.concatenate(([1.0], survive[:-1]))
-    stop_flat = visit * before
-    no_stop = float(survive[-1])
-    if order is SearchOrder.CODE_PHASE_FIRST:
-        stop = stop_flat.reshape(p.shape)
-    else:
-        stop = stop_flat.reshape(p.shape[1], p.shape[0]).T
-    return stop, no_stop
-
-
-def _placement_grid(pdet_by_offset: np.ndarray, pfa: float, k: int, n: int,
-                    cb: int, cp: int, m_accept: int) -> CellProbabilityGrid:
-    probs = np.full((k, n), pfa)
-    offs = np.abs(np.arange(k) - cb)
-    col = np.where(offs < pdet_by_offset.size, pdet_by_offset[np.minimum(offs, pdet_by_offset.size - 1)], pfa)
-    probs[:, cp] = col
-    lo = max(0, cb - m_accept)
-    hi = min(k - 1, cb + m_accept)
-    accepted = frozenset((b, cp) for b in range(lo, hi + 1))
-    return CellProbabilityGrid(probs=probs, accepted=accepted)
+    """(stop, no_stop): the stop probability per cell, shaped like grid.probs,
+    and the no-stop probability; all K*N + 1 outcomes sum to 1."""
+    stop, no_stop = _stop_probs(grid.probs, order)
+    return stop, float(no_stop)
 
 
 def averaged_detection(profile: NonCentralityProfile, beta: float, k: int, n: int,
                        m_accept: int, order: SearchOrder) -> float:
     """Detection probability averaged over all K*N equally likely placements
-    of the correct cell, each evaluated by exact enumeration.
+    (cb, cp) of the correct cell, each evaluated by exact enumeration.
 
     Every bin's cell at the correct phase carries the profile value for its
     offset (cell_pdet of 0 beyond the truncation is exactly the cell P_fa);
     all remaining cells are noise.  A stop counts as detection when it lands
-    on the correct phase within m_accept bins of the correct bin.
+    on the correct phase within m_accept bins of the correct bin.  The stops
+    are summed sequentially, per placement in ascending bin order, then over
+    placements in (cb, cp) order, so the stack size does not change the sum.
     """
     if k < 1 or n < 1:
         raise ValueError("k and n must be >= 1")
@@ -92,10 +86,16 @@ def averaged_detection(profile: NonCentralityProfile, beta: float, k: int, n: in
     pfa = cell_pfa(beta)
     # offsets 0..k-1 suffice: no placement can see a larger one
     pdet_by_offset = cell_pdet(np.array([profile.at_offset(s) for s in range(k)]), beta)
-    total = 0.0
-    for cb in range(k):
-        for cp in range(n):
-            grid = _placement_grid(pdet_by_offset, pfa, k, n, cb, cp, m_accept)
-            stop, _ = stop_distribution(grid, order)
-            total += sum(stop[b, ph] for b, ph in grid.accepted)
-    return total / (k * n)
+    bins = np.arange(k)
+    step = max(1, _MAX_STACK_CELLS // (k * n))
+    detect = np.empty(k * n)
+    for lo in range(0, k * n, step):
+        cb, cp = np.divmod(np.arange(lo, min(lo + step, k * n)), n)
+        rows, cols = np.arange(cb.size)[:, None], cp[:, None]
+        offs = np.abs(bins - cb[:, None])
+        stack = np.full((cb.size, k, n), pfa)
+        stack[rows, bins, cols] = pdet_by_offset[offs]
+        _check_probs(stack)
+        stop = _stop_probs(stack, order)[0][rows, bins, cols]
+        detect[lo:lo + cb.size] = np.cumsum(np.where(offs <= m_accept, stop, 0.0), axis=1)[:, -1]
+    return float(np.cumsum(detect)[-1] / (k * n))

@@ -207,12 +207,11 @@ def _exp_block_max(rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
     """Max of `counts` iid Exp(1) per entry, exactly, via inverse CDF of the
     maximum; empty blocks give -inf."""
     u = rng.random(counts.shape)
-    out = np.full(counts.shape, -np.inf)
-    pos = counts > 0
     with np.errstate(divide="ignore"):
         # 1 - u^(1/n) as -expm1: for u near 1 the power sits within an ulp
         # of 1, where 1 - exp(y) would keep only its first few digits
-        out[pos] = -np.log(-np.expm1(np.log(u[pos]) / counts[pos]))
+        out = -np.log(-np.expm1(np.log(u) / counts))
+    out[counts == 0] = -np.inf
     return out
 
 

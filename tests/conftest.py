@@ -1,7 +1,13 @@
 """Shared test plumbing: collect acceptance-criterion verdict lines and echo
-them in the terminal summary so they are visible without -s."""
+them in the terminal summary so they are visible without -s, and run every
+hypothesis test on a derandomized profile with no example database, so a
+property failure reproduces on every run and machine."""
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 _ACCEPTANCE_LINES = []
 

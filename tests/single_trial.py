@@ -1,5 +1,6 @@
 """Single-trial serial searches: the independent reference for the batched
-threshold replay of acqroc.simulator.
+threshold replay of acqroc.simulator, and the per-placement enumeration the
+array form of acqroc.oracle.averaged_detection is held to.
 
 Each trial draws every cell metric of the K x N grid (metric level) or
 synthesizes every bin (waveform level, through the simulator's own trial
@@ -15,7 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from acqroc.analytic import SearchOrder
+from acqroc.analytic import NonCentralityProfile, SearchOrder, cell_pdet, cell_pfa
+from acqroc.oracle import CellProbabilityGrid, stop_distribution
 from acqroc.prncode import CODE_LENGTH
 from acqroc.simulator import SimConfig, WaveformConfig, _realized_l, _waveform_batch, draw_metric
 
@@ -119,3 +121,21 @@ def replay_records(rec, order: SearchOrder, betas: np.ndarray,
             if stop[1]:
                 det[stop[0] - cb + k - 1, j] += 1
     return det, stops
+
+
+def averaged_detection_serial(profile: NonCentralityProfile, beta: float, k: int, n: int,
+                              m_accept: int, order: SearchOrder) -> float:
+    """acqroc.oracle.averaged_detection one placement at a time: a validated
+    CellProbabilityGrid per placement (cb, cp), its stop distribution, and the
+    accepted stops summed in ascending bin order."""
+    pfa = cell_pfa(beta)
+    pdet_by_offset = cell_pdet(np.array([profile.at_offset(s) for s in range(k)]), beta)
+    total = 0.0
+    for cb in range(k):
+        for cp in range(n):
+            probs = np.full((k, n), pfa)
+            probs[:, cp] = pdet_by_offset[np.abs(np.arange(k) - cb)]
+            accepted = [(b, cp) for b in range(max(0, cb - m_accept), min(k, cb + m_accept + 1))]
+            stop, _ = stop_distribution(CellProbabilityGrid(probs, frozenset(accepted)), order)
+            total += sum(stop[b, ph] for b, ph in accepted)
+    return total / (k * n)

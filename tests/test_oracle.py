@@ -1,9 +1,15 @@
 """Exact enumeration of the serial search: hand-worked fixtures, partition
-invariants, and closed-form cross-checks."""
+invariants, closed-form cross-checks, and the array form of the placement
+average against its per-placement reference."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import acqroc.oracle as oracle
 from acqroc.analytic import (
     NonCentralityProfile,
     SearchOrder,
@@ -15,6 +21,7 @@ from acqroc.analytic import (
     global_pdet_naive,
 )
 from acqroc.oracle import CellProbabilityGrid, averaged_detection, stop_distribution
+from single_trial import averaged_detection_serial
 
 
 class TestStopDistribution:
@@ -123,6 +130,21 @@ class TestAveragedDetection:
             assert abs(cf - ocf) < 1e-12
             assert abs(df - odf) < 1e-12
 
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 5), n=st.integers(1, 6), data=st.data(),
+           values=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=3),
+           log_pfa=st.floats(-6.0, float(np.log10(0.9))))
+    def test_closed_forms_match_oracle_property(self, k, n, data, values, log_pfa):
+        m = data.draw(st.integers(0, k - 1), label="m")
+        profile = NonCentralityProfile(tuple(values))
+        beta = -np.log(10.0 ** log_pfa)
+        for order, closed in ((SearchOrder.CODE_PHASE_FIRST, global_pdet_code_first),
+                              (SearchOrder.DOPPLER_FIRST, global_pdet_doppler_first)):
+            want = averaged_detection(profile, beta, k, n, m, order)
+            assert abs(closed(profile, SearchPolicy(order, m, beta), n, k) - want) < 1e-12
+            by_m = [averaged_detection(profile, beta, k, n, mm, order) for mm in range(k)]
+            assert all(a <= b for a, b in zip(by_m, by_m[1:]))
+
     def test_detection_grows_with_accept_width(self):
         profile = NonCentralityProfile((15.0, 6.0, 1.0))
         vals = [averaged_detection(profile, 8.0, 5, 6, m, SearchOrder.CODE_PHASE_FIRST)
@@ -135,3 +157,47 @@ class TestAveragedDetection:
             averaged_detection(profile, 5.0, 0, 3, 0, SearchOrder.CODE_PHASE_FIRST)
         with pytest.raises(ValueError):
             averaged_detection(profile, 5.0, 3, 3, 3, SearchOrder.CODE_PHASE_FIRST)
+
+
+def _random_instances(rng, count):
+    """(profile, beta, k, n) with K 1-5, N 1-6 and profile depth 1-3, led by
+    the K = 1, N = 1 corner."""
+    out = [(NonCentralityProfile((17.0,)), 3.0, 1, 1)]
+    for _ in range(count):
+        depth = int(rng.integers(1, 4))
+        out.append((NonCentralityProfile(tuple(rng.uniform(0.0, 30.0, depth))),
+                    -np.log(10.0 ** rng.uniform(-6.0, np.log10(0.9))),
+                    int(rng.integers(1, 6)), int(rng.integers(1, 7))))
+    return out
+
+
+class TestArrayOracle:
+    def test_matches_serial_reference(self):
+        rng = np.random.default_rng(909)
+        for profile, beta, k, n in _random_instances(rng, 80):
+            for m in range(k):  # every valid M, M = K - 1 included
+                for order in SearchOrder:
+                    want = averaged_detection_serial(profile, beta, k, n, m, order)
+                    got = averaged_detection(profile, beta, k, n, m, order)
+                    assert abs(got - want) <= 1e-15, (k, n, m, order)
+
+    def test_result_does_not_depend_on_stack_size(self, monkeypatch):
+        rng = np.random.default_rng(910)
+        cases = [(profile, beta, k, n, int(rng.integers(0, k)), order)
+                 for profile, beta, k, n in _random_instances(rng, 30) for order in SearchOrder]
+        whole = [averaged_detection(*case) for case in cases]
+        monkeypatch.setattr(oracle, "_MAX_STACK_CELLS", 1)  # one placement per stack
+        assert [averaged_detection(*case) for case in cases] == whole
+
+    def test_large_grid_in_bounded_memory(self):
+        profile = NonCentralityProfile((20.0, 8.0))
+        beta, k, n, m = 12.0, 3, 1023, 1
+        tracemalloc.start()
+        try:
+            got = averaged_detection(profile, beta, k, n, m, SearchOrder.CODE_PHASE_FIRST)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = global_pdet_code_first(profile, SearchPolicy(SearchOrder.CODE_PHASE_FIRST, m, beta), n, k)
+        assert abs(got - want) < 1e-12
+        assert peak < 64 * 2**20
