@@ -35,7 +35,11 @@ tag t draws from its own SFC64 generator, seeded with the i-th child of
 SeedSequence((seed, t)).spawn(), at both fidelities.  Thresholds are
 applied post hoc to recorded per-trial segment maxima, so one pass serves a
 whole beta grid, and all aggregation is integer counting: results are
-identical for any worker count.
+identical for any worker count.  Detection batches use run tag 0.  At
+waveform level each detection batch also searches its received samples
+with the false-alarm code and records each trial's global maximum of that
+search, so the false-alarm maxima come from the detection batches; only the
+metric level runs a separate false-alarm run, with run tag 1.
 """
 
 from __future__ import annotations
@@ -84,8 +88,8 @@ class WaveformConfig:
     f_if = 0 selects complex-baseband synthesis at f_s, a nonzero f_if
     real-valued IF synthesis at f_s; both average down to one sample per
     chip, so f_s must be a whole multiple of the 1.023 MHz chip rate.
-    Detection runs search with prn_signal, false-alarm runs with PRN 5 (PRN 1
-    when the signal is PRN 5).
+    Detection searches with prn_signal, the false-alarm search with
+    false_alarm_prn.
     """
 
     f_s: float = 1.023e6
@@ -112,9 +116,9 @@ class WaveformConfig:
         r, periods = self._chip_layout(t_per)
         return CODE_LENGTH * r * periods
 
-    def search_prn(self, detection_run: bool) -> int:
-        if detection_run:
-            return self.prn_signal
+    @property
+    def false_alarm_prn(self) -> int:
+        """PRN 5, or PRN 1 when the signal is PRN 5."""
         return 5 if self.prn_signal != 5 else 1
 
 
@@ -145,8 +149,8 @@ class SimConfig:
 class McEstimate:
     """Monte Carlo estimates at one threshold.
 
-    p_det comes from the detection run (search code = signal code); p_fa is
-    the stop probability of the signal-free false-alarm run.  Confidence
+    p_det comes from the detection search (search code = signal code); p_fa
+    is the stop probability of the signal-free false-alarm search.  Confidence
     intervals are 95% Wilson.  stop_offset_counts histograms the detection
     run's correct-phase stops by stop-bin offset from the correct bin,
     regardless of the acceptance half-width.
@@ -300,18 +304,24 @@ def _search_spectrum(prn: int) -> np.ndarray:
     return np.conj(np.fft.fft(chips)) / CODE_LENGTH ** 2
 
 
-def _correlate_all_phases(baseband: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """|X|^2 at every code phase: X[m] = (1/N) sum_n r[n] c[n - m].  With
-    spectrum = conj(C)/N^2 of `_search_spectrum`, X is the unscaled inverse
-    DFT (norm="forward") of the rows' DFT times the spectrum; both
-    transforms run in place in baseband, which they overwrite, and the
-    power is re^2 + im^2."""
+def _correlate_all_phases(baseband: np.ndarray, spectra):
+    """|X|^2 at every code phase against each search spectrum, yielded in
+    turn: X[m] = (1/N) sum_n r[n] c[n - m].  With spectrum = conj(C)/N^2 of
+    `_search_spectrum`, X is the unscaled inverse DFT (norm="forward") of the
+    rows' DFT times the spectrum.  The forward DFT runs once, in place in
+    baseband, which it overwrites.  Every spectrum but the last multiplies a
+    copy of that DFT, and the inverse DFT and the power re^2 + im^2 are
+    formed in place in the copy (the power a strided view of it); the last
+    multiplies baseband in place, and its power is a new array, so holding
+    it keeps none of the bin's samples alive."""
     x = np.fft.fft(baseband, axis=1, out=baseband)
-    x *= spectrum
-    x = np.fft.ifft(x, axis=1, norm="forward", out=x)
-    v = x.view(np.float64)
-    v *= v
-    return v[:, 0::2] + v[:, 1::2]
+    last = len(spectra) - 1
+    for i, spectrum in enumerate(spectra):
+        y = np.multiply(x, spectrum, out=x if i == last else None)
+        y = np.fft.ifft(y, axis=1, norm="forward", out=y)
+        v = y.view(np.float64)
+        v *= v
+        yield np.add(v[:, 0::2], v[:, 1::2], out=v[:, 0::2] if i < last else None)
 
 
 def _code_rows(prn: int, cp: np.ndarray, r: int, periods: int) -> np.ndarray:
@@ -330,7 +340,7 @@ def noiseless_metric(params: SignalParams, wf: WaveformConfig, delta_f_hz: float
     csig = _code_rows(prn, np.array([code_phase]), *wf._chip_layout(params.t_per))
     rx = _received_rows(params, wf, csig, np.array([float(delta_f_hz)]), np.zeros(1))
     base = _synth_bin(params, wf, None, rx, 0.0)
-    p = _correlate_all_phases(base, _search_spectrum(prn))
+    p, = _correlate_all_phases(base, (_search_spectrum(prn),))
     return float(p[0, code_phase])
 
 
@@ -373,14 +383,15 @@ def _record_metric_batch(rng: np.random.Generator, nb: int,
     return _Records(cb=cb, sig=sig, pre=pre, post=post)
 
 
-def _waveform_batch(rng: np.random.Generator, nb: int, config: SimConfig,
-                    detection_run: bool):
+def _waveform_batch(rng: np.random.Generator, nb: int, config: SimConfig):
     """The trial setup shared by every waveform-level search: draws nb
     trials' correct bins cb, phases cp, residual Dopplers and carrier phases
     (in that order), synthesizes their received carriers once, and returns
-    (cb, cp, powers), where powers yields each Doppler bin's |X|^2 at every
-    code phase (rows trials), downconverting with that bin's
-    local-oscillator row and drawing its noise as it is reached."""
+    (cb, cp, bins), where bins yields, per Doppler bin, the |X|^2 of the
+    signal code's search at every code phase (rows trials) and each row's
+    maximum of the false-alarm code's search over the same samples; each
+    bin downconverts with its local-oscillator row and draws its noise as it
+    is reached."""
     wf = config.waveform
     grid = config.grid
     k, n = grid.num_bins, CODE_LENGTH
@@ -391,15 +402,21 @@ def _waveform_batch(rng: np.random.Generator, nb: int, config: SimConfig,
     centers = _bin_centers(grid)
     csig = _code_rows(wf.prn_signal, cp, *wf._chip_layout(config.params.t_per))
     rx = _received_rows(config.params, wf, csig, centers[cb] + df0, theta)
-    spectrum = _search_spectrum(wf.search_prn(detection_run))
+    # false-alarm search first: its power, formed in place in a copy of the
+    # bin's DFT, is reduced to row maxima before the signal search runs
+    spectra = (_search_spectrum(wf.false_alarm_prn), _search_spectrum(wf.prn_signal))
 
-    def powers():
-        # no local keeps a bin's samples alive while the next bin is drawn
+    def bins():
+        # closing the correlator lets the bin's samples go before the next
+        # bin is drawn
         for b in range(k):
-            yield _correlate_all_phases(
-                _synth_bin(config.params, wf, rng, rx, float(centers[b])), spectrum)
+            powers = _correlate_all_phases(
+                _synth_bin(config.params, wf, rng, rx, float(centers[b])), spectra)
+            fa_max = next(powers).max(axis=1)
+            yield next(powers), fa_max
+            powers.close()
 
-    return cb, cp, powers()
+    return cb, cp, bins()
 
 
 def _segment_maxima(p: np.ndarray, cp: np.ndarray) -> np.ndarray:
@@ -419,28 +436,19 @@ def _segment_maxima(p: np.ndarray, cp: np.ndarray) -> np.ndarray:
 
 
 def _record_waveform_batch(rng: np.random.Generator, nb: int,
-                           config: SimConfig) -> _Records:
+                           config: SimConfig) -> tuple[_Records, np.ndarray]:
+    """The detection records of a batch and each trial's global maximum of
+    the false-alarm search over the same received samples."""
     k = config.grid.num_bins
-    cb, cp, powers = _waveform_batch(rng, nb, config, detection_run=True)
+    cb, cp, bins = _waveform_batch(rng, nb, config)
     sig = np.empty((nb, k))
     pre = np.empty((nb, k))
     post = np.empty((nb, k))
-    for b, p in enumerate(powers):
+    fa_max = np.full(nb, -np.inf)
+    for b, (p, bin_fa_max) in enumerate(bins):
         pre[:, b], sig[:, b], post[:, b] = _segment_maxima(p, cp).T
-    return _Records(cb=cb, sig=sig, pre=pre, post=post)
-
-
-def _record_fa_batch(rng: np.random.Generator, nb: int,
-                     config: SimConfig) -> np.ndarray:
-    """Global metric maximum per signal-free trial (search code does not
-    match the transmitted one)."""
-    if config.fidelity is Fidelity.METRIC_LEVEL:
-        return _exp_block_max(rng, np.full(nb, config.grid.num_bins * CODE_LENGTH))
-    _, _, powers = _waveform_batch(rng, nb, config, detection_run=False)
-    gmax = np.full(nb, -np.inf)
-    for p in powers:
-        gmax = np.maximum(gmax, p.max(axis=1))
-    return gmax
+        np.maximum(fa_max, bin_fa_max, out=fa_max)
+    return _Records(cb=cb, sig=sig, pre=pre, post=post), fa_max
 
 
 # --- threshold evaluation --------------------------------------------------------
@@ -521,28 +529,36 @@ def _run_batches(config: SimConfig, run_tag: int, worker, workers: int):
 
 def monte_carlo_sweep(config: SimConfig, betas, workers: int = 1) -> list[McEstimate]:
     """Detection and false-alarm estimates at every threshold of an ascending
-    grid, from one recording pass per run."""
+    grid, from one recording pass.  At waveform level the detection batches
+    also carry the false-alarm maxima; at metric level a signal-free trial
+    needs no received samples, and a run of its own (run tag 1) draws each
+    trial's global maximum of K N Exp(1) cells exactly."""
     betas = _beta_array(betas)
     k = config.grid.num_bins
     m = config.policy.accept_half_width
     order = config.policy.order
-    record = (_record_metric_batch if config.fidelity is Fidelity.METRIC_LEVEL
-              else _record_waveform_batch)
+    metric_level = config.fidelity is Fidelity.METRIC_LEVEL
 
     def det_worker(rng, nb):
-        return _count_detection(record(rng, nb, config), order, betas, k)
+        if metric_level:
+            return _count_detection(_record_metric_batch(rng, nb, config), order, betas, k), None
+        rec, fa_max = _record_waveform_batch(rng, nb, config)
+        return _count_detection(rec, order, betas, k), _count_stops(fa_max, betas)
 
     def fa_worker(rng, nb):
-        return _count_stops(_record_fa_batch(rng, nb, config), betas)
+        return _count_stops(_exp_block_max(rng, np.full(nb, k * CODE_LENGTH)), betas)
 
     hist = np.zeros((2 * k - 1, betas.size + 1), dtype=np.int64)
     stops = np.zeros(betas.size + 1, dtype=np.int64)
-    for h, s in _run_batches(config, 0, det_worker, workers):
+    fa = np.zeros(betas.size + 1, dtype=np.int64)
+    for (h, s), f in _run_batches(config, 0, det_worker, workers):
         hist += h
         stops += s
-    fa = np.zeros(betas.size + 1, dtype=np.int64)
-    for s in _run_batches(config, 1, fa_worker, workers):
-        fa += s
+        if f is not None:
+            fa += f
+    if metric_level:
+        for f in _run_batches(config, 1, fa_worker, workers):
+            fa += f
     hist = np.cumsum(hist, axis=1)[:, :-1]
     stops = np.cumsum(stops)[:-1]
     fa = np.cumsum(fa)[:-1]

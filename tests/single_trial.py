@@ -17,7 +17,6 @@ from enum import Enum
 import numpy as np
 
 from acqroc.analytic import NonCentralityProfile, SearchOrder, cell_pdet, cell_pfa
-from acqroc.oracle import CellProbabilityGrid, stop_distribution
 from acqroc.prncode import CODE_LENGTH
 from acqroc.simulator import SimConfig, WaveformConfig, _realized_l, _waveform_batch, draw_metric
 
@@ -82,9 +81,8 @@ def run_waveform_trial(config: SimConfig, waveform: WaveformConfig,
     """One serial search with metrics produced by the synthesized chain,
     using a fresh noise realization for every Doppler bin."""
     beta = config.policy.require_threshold()
-    cb, cp, powers = _waveform_batch(rng, 1, replace(config, waveform=waveform),
-                                     detection_run=True)
-    stop = _serial_search(np.concatenate(list(powers)), config.policy.order, beta)
+    cb, cp, bins = _waveform_batch(rng, 1, replace(config, waveform=waveform))
+    stop = _serial_search(np.concatenate([p for p, _ in bins]), config.policy.order, beta)
     return _classify(stop, int(cb[0]), int(cp[0]), config.policy.accept_half_width)
 
 
@@ -125,17 +123,26 @@ def replay_records(rec, order: SearchOrder, betas: np.ndarray,
 
 def averaged_detection_serial(profile: NonCentralityProfile, beta: float, k: int, n: int,
                               m_accept: int, order: SearchOrder) -> float:
-    """acqroc.oracle.averaged_detection one placement at a time: a validated
-    CellProbabilityGrid per placement (cb, cp), its stop distribution, and the
-    accepted stops summed in ascending bin order."""
+    """acqroc.oracle.averaged_detection one placement at a time, by its own
+    walk rather than through acqroc.oracle: per placement (cb, cp) the cells
+    are visited in search order with a running survival product, a cell's
+    stop probability being its crossing probability times the probability
+    that no earlier cell crossed, and the accepted stops are summed in
+    ascending bin order."""
     pfa = cell_pfa(beta)
     pdet_by_offset = cell_pdet(np.array([profile.at_offset(s) for s in range(k)]), beta)
+    if order is SearchOrder.CODE_PHASE_FIRST:
+        visits = [(b, ph) for b in range(k) for ph in range(n)]
+    else:
+        visits = [(b, ph) for ph in range(n) for b in range(k)]
     total = 0.0
     for cb in range(k):
         for cp in range(n):
-            probs = np.full((k, n), pfa)
-            probs[:, cp] = pdet_by_offset[np.abs(np.arange(k) - cb)]
-            accepted = [(b, cp) for b in range(max(0, cb - m_accept), min(k, cb + m_accept + 1))]
-            stop, _ = stop_distribution(CellProbabilityGrid(probs, frozenset(accepted)), order)
-            total += sum(stop[b, ph] for b, ph in accepted)
+            stop, survive = {}, 1.0
+            for b, ph in visits:
+                p = float(pdet_by_offset[abs(b - cb)]) if ph == cp else pfa
+                stop[b, ph] = p * survive
+                survive *= 1.0 - p
+            total += sum(stop[b, cp] for b in range(max(0, cb - m_accept),
+                                                     min(k, cb + m_accept + 1)))
     return total / (k * n)

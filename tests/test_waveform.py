@@ -122,9 +122,8 @@ class TestNoiselessChain:
                            grid=DopplerGrid(500.0, 5000.0, 2e-3),
                            policy=SearchPolicy(SearchOrder.CODE_PHASE_FIRST, 0))
         cb, cp, df0 = 7, 300, 300.0
-        _, _, powers = _waveform_batch(_NoiselessDraws(cb, cp, df0), 1, config,
-                                       detection_run=True)
-        got = list(powers)[cb][0]
+        _, _, bins = _waveform_batch(_NoiselessDraws(cb, cp, df0), 1, config)
+        got = [p for p, _ in bins][cb][0]
         code = generate_ca_code(1).chips.astype(np.float64)
         n = np.arange(2 * N)
         rx = (math.sqrt(l_max_param(params) / 2.0) * code[(n - cp) % N]
@@ -147,7 +146,8 @@ class TestChainReference:
         # bin's received samples from scratch (carrier at the residual
         # Doppler f_d - f_b, or the passband carrier multiplied down) and
         # correlate them at full rate against every delayed copy of the
-        # search code
+        # signal code and of the false-alarm code (PRN 5), keeping each
+        # row's maximum of the latter
         params = SignalParams(cn0_dbhz=40.0, t_per=t_per)
         grid = DopplerGrid(500.0, 2000.0, t_per)
         config = SimConfig(trials=1, seed=0, fidelity=Fidelity.WAVEFORM, params=params,
@@ -169,7 +169,9 @@ class TestChainReference:
         code = generate_ca_code(1).chips.astype(np.float64)
         csig = code[(chip[None, :] - cp[:, None]) % N]
         search = code[(chip[None, :] - np.arange(N)[:, None]) % N]
-        want = []
+        code5 = generate_ca_code(5).chips.astype(np.float64)
+        search5 = code5[(chip[None, :] - np.arange(N)[:, None]) % N]
+        want, want_fa = [], []
         for fb in centers:
             if wf.f_if == 0.0:
                 phase = 2.0 * np.pi * (fd[:, None] - fb) * t[None, :] + theta[:, None]
@@ -184,13 +186,15 @@ class TestChainReference:
                      + math.sqrt(float(n_high)) * rng.standard_normal((nb, n_high)))
                 rx = y * np.exp(-2j * np.pi * (wf.f_if + fb) * t)[None, :]
             want.append(np.abs(rx @ search.T / n_high) ** 2)
-        got_cb, got_cp, powers = _waveform_batch(np.random.Generator(np.random.Philox(seed)),
-                                                 nb, config, detection_run=True)
+            want_fa.append((np.abs(rx @ search5.T / n_high) ** 2).max(axis=1))
+        got_cb, got_cp, bins = _waveform_batch(np.random.Generator(np.random.Philox(seed)),
+                                               nb, config)
         assert np.array_equal(got_cb, cb) and np.array_equal(got_cp, cp)
-        got = list(powers)
+        got = list(bins)
         assert len(got) == k
-        for b in range(k):
-            assert np.max(np.abs(got[b] - want[b])) <= 1e-9, b
+        for b, (p, fa_max) in enumerate(got):
+            assert np.max(np.abs(p - want[b])) <= 1e-9, b
+            assert np.max(np.abs(fa_max - want_fa[b])) <= 1e-9, b
 
 
 class TestSegmentMaxima:
@@ -229,8 +233,9 @@ class TestNoiseUnits:
         rx = np.zeros((nb, n_high))
         spectrum = _search_spectrum(1)
         cells = np.concatenate([
-            _correlate_all_phases(_synth_bin(PARAMS, wf, rng, rx, f_local), spectrum)
-            for f_local in (-2000.0, 0.0, 500.0, 1500.0)]).ravel()
+            p for f_local in (-2000.0, 0.0, 500.0, 1500.0)
+            for p in _correlate_all_phases(_synth_bin(PARAMS, wf, rng, rx, f_local), (spectrum,))
+        ]).ravel()
         code = generate_ca_code(1).chips.astype(np.float64)
         rho = np.fft.ifft(np.abs(np.fft.fft(code)) ** 2).real / N
         inflation = float(np.sum(rho ** 2))
@@ -244,10 +249,10 @@ class TestNoiseUnits:
 class TestSearchPrnSelection:
     def test_defaults(self):
         wf = WaveformConfig()
-        assert wf.search_prn(detection_run=True) == 1
-        assert wf.search_prn(detection_run=False) == 5
+        assert wf.prn_signal == 1
+        assert wf.false_alarm_prn == 5
         wf5 = WaveformConfig(prn_signal=5)
-        assert wf5.search_prn(detection_run=False) == 1
+        assert wf5.false_alarm_prn == 1
 
 
 class TestSingleWaveformTrial:
@@ -310,8 +315,8 @@ class TestFixedSeedRegression:
             13, 13, 10, 6, 3, 2, 2, 2, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
         assert [r.n_fa_stop for r in res] == [
             256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256,
-            256, 256, 256, 254, 252, 252, 248, 235, 215, 178, 150, 126, 101, 78, 53, 35, 25,
-            20, 16, 14, 9, 4, 3, 3, 3, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+            256, 256, 256, 256, 256, 251, 248, 227, 212, 178, 143, 122, 98, 69, 49, 38, 23,
+            12, 9, 5, 5, 4, 4, 3, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 
 
 class TestWaveformStatistics:
