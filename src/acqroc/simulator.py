@@ -304,7 +304,7 @@ def _search_spectrum(prn: int) -> np.ndarray:
     return np.conj(np.fft.fft(chips)) / CODE_LENGTH ** 2
 
 
-def _correlate_all_phases(baseband: np.ndarray, spectra):
+def _correlate_all_phases(baseband: np.ndarray, spectra: tuple[np.ndarray, ...]):
     """|X|^2 at every code phase against each search spectrum, yielded in
     turn: X[m] = (1/N) sum_n r[n] c[n - m].  With spectrum = conj(C)/N^2 of
     `_search_spectrum`, X is the unscaled inverse DFT (norm="forward") of the
