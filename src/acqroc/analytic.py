@@ -234,8 +234,9 @@ def _integrate_mean(f, half: float):
     """Mean of f over [-half, half] by Gauss-Legendre with order doubling.
 
     f maps an ndarray of abscissas to an array whose last axis runs over
-    them.  Each element of the mean is taken at the first order that agrees
-    with the order before it.
+    them, which are exactly antisymmetric (x[i] == -x[-1 - i], none at 0).
+    Each element of the mean is taken at the first order that agrees with
+    the order before it.
     """
     prev, out, done = None, 0.0, np.False_
     order = _QUAD_POINTS
@@ -262,15 +263,22 @@ def _residual_doppler_mean(params: SignalParams, grid: DopplerGrid, beta,
     call gives P_det with axes (beta..., node, offset) for the thresholds
     beta and the signed `offsets`; the mean over df0 of that array (axes
     beta..., offset) or of `reduce` of it (axes beta..., node) comes back.
+    sinc^2 is even, so P_det at node -x and offset s is bitwise that at x
+    and -s: the call covers only the positive nodes, at +/-`offsets`.
     """
     wt = grid.relative_width
     lm = l_max_param(params)
     betas = np.asarray(beta, dtype=np.float64)
     if betas.ndim:
         betas = betas[..., None, None]
+    # a sorted set, not np.union1d, which would load numpy's set routines
+    signed = np.array(sorted({s for o in offsets.tolist() for s in (o, -o)}))
+    at = np.searchsorted(signed, offsets)
 
     def f(xs: np.ndarray) -> np.ndarray:
-        pdet = cell_pdet(lm * sinc(xs[:, None] - offsets * wt) ** 2, betas)
+        pos = cell_pdet(lm * sinc(xs[xs.size // 2:, None] - signed * wt) ** 2, betas)
+        # nodes -x are nodes x at -s; take lays pdet out C-ordered like a full-node call
+        pdet = np.take(np.concatenate((pos[..., ::-1, ::-1], pos), axis=-2), at, axis=-1)
         return np.moveaxis(pdet, -2, -1) if reduce is None else reduce(pdet)
 
     return _integrate_mean(f, wt / 2.0)
@@ -373,17 +381,26 @@ def _code_first_value(pdet: np.ndarray, pfa: float, n: int, k: int, m: int):
     return reach / k * _accept_sum(pdet, quiet_noise, k, m)
 
 
-def _doppler_first_value(pdet: np.ndarray, pfa: float, n: int, k: int, m: int):
+def _doppler_first_value(accept, pfa: float, n: int, k: int):
+    """accept is _accept_sum(pdet, 1.0, k, m), as in the approximation."""
     num = one_minus_pow_complement(pfa, k * n)
     den = one_minus_pow_complement(pfa, k)
     reach = float(n) if den == 0.0 else num / den
-    return reach / (n * k) * _accept_sum(pdet, 1.0, k, m)
+    return reach / (n * k) * accept
 
 
-def _profile_pdet(profile: NonCentralityProfile, beta: float, k: int) -> np.ndarray:
-    near = min(profile.l_max, k - 1)
-    pdet = cell_pdet(np.array(profile.values), beta)[np.abs(np.arange(-near, near + 1))]
-    return _signed_pdet(pdet, cell_pfa(beta), k)
+def _profile_pdet(pdet: np.ndarray, pfa: float, k: int) -> np.ndarray:
+    """_signed_pdet from pdet[l], P_det at offset l = 0, 1, ...; noise only further out."""
+    near = min(pdet.size - 1, k - 1)
+    return _signed_pdet(pdet[np.abs(np.arange(-near, near + 1))], pfa, k)
+
+
+def _global_pdet(order: SearchOrder, pd: np.ndarray, pfa: float, n: int, k: int, m: int) -> float:
+    """Closed-form global P_det in `order` from pd as _profile_pdet takes it."""
+    signed = _profile_pdet(pd, pfa, k)
+    if order is SearchOrder.CODE_PHASE_FIRST:
+        return as_probability(_code_first_value(signed, pfa, n, k, m))
+    return as_probability(_doppler_first_value(_accept_sum(signed, 1.0, k, m), pfa, n, k))
 
 
 def global_pdet_code_first(profile: NonCentralityProfile, policy: SearchPolicy,
@@ -391,10 +408,9 @@ def global_pdet_code_first(profile: NonCentralityProfile, policy: SearchPolicy,
     """Global detection probability when each Doppler bin is searched over
     all code phases before moving to the next bin."""
     beta = policy.require_threshold()
-    m = policy.accept_half_width
-    _check_global_args(k, m, n)
-    pdet = _profile_pdet(profile, beta, k)
-    return as_probability(_code_first_value(pdet, cell_pfa(beta), n, k, m))
+    _check_global_args(k, policy.accept_half_width, n)
+    return _global_pdet(SearchOrder.CODE_PHASE_FIRST, cell_pdet(np.array(profile.values), beta),
+                        cell_pfa(beta), n, k, policy.accept_half_width)
 
 
 def global_pdet_doppler_first(profile: NonCentralityProfile, policy: SearchPolicy,
@@ -407,10 +423,9 @@ def global_pdet_doppler_first(profile: NonCentralityProfile, policy: SearchPolic
     start of the column from the stop bin.
     """
     beta = policy.require_threshold()
-    m = policy.accept_half_width
-    _check_global_args(k, m, n)
-    pdet = _profile_pdet(profile, beta, k)
-    return as_probability(_doppler_first_value(pdet, cell_pfa(beta), n, k, m))
+    _check_global_args(k, policy.accept_half_width, n)
+    return _global_pdet(SearchOrder.DOPPLER_FIRST, cell_pdet(np.array(profile.values), beta),
+                        cell_pfa(beta), n, k, policy.accept_half_width)
 
 
 def global_pdet_approx(profile: NonCentralityProfile, policy: SearchPolicy,
@@ -420,7 +435,7 @@ def global_pdet_approx(profile: NonCentralityProfile, policy: SearchPolicy,
     beta = policy.require_threshold()
     m = policy.accept_half_width
     _check_global_args(k, m)
-    pdet = _profile_pdet(profile, beta, k)
+    pdet = _profile_pdet(cell_pdet(np.array(profile.values), beta), cell_pfa(beta), k)
     return as_probability(_accept_sum(pdet, 1.0, k, m) / k)
 
 
@@ -500,18 +515,16 @@ def roc_curve(params: SignalParams, grid: DopplerGrid, policy: SearchPolicy,
     pds = cell_pdet(ls, betas[:, None])
     exacts = as_probability(_residual_doppler_mean(params, grid, betas, np.arange(3)))
     n = n_phases
-    # offsets 0..near of the expected profile at the signed offsets -near..near
-    near = min(l_max, k - 1)
-    mirror = np.abs(np.arange(-near, near + 1))
     points = []
     for b, pd, exact in zip(betas.tolist(), pds, exacts.tolist()):
         pfa = cell_pfa(b)
-        signed = _signed_pdet(pd[mirror], pfa, k)
+        signed = _profile_pdet(pd[:l_max + 1], pfa, k)
+        accept = _accept_sum(signed, 1.0, k, m)
         # positional, in the column order of RocPoint
         points.append(RocPoint(
             grid.bin_width_hz, m, b, pfa, *pd[:3].tolist(), *exact,
             global_pfa(pfa, n, k), _naive_value(float(pd[0]), pfa, n, k),
             as_probability(_code_first_value(signed, pfa, n, k, m)),
-            as_probability(_doppler_first_value(signed, pfa, n, k, m)),
-            as_probability(_accept_sum(signed, 1.0, k, m) / k)))
+            as_probability(_doppler_first_value(accept, pfa, n, k)),
+            as_probability(accept / k)))
     return tuple(points)

@@ -18,7 +18,8 @@ import csv
 import os
 import sys
 import tempfile
-from dataclasses import astuple, fields
+from dataclasses import fields
+from operator import attrgetter
 
 from .analytic import RocPoint, SearchOrder, cell_pdet, l_max_param, roc_curve
 from .config import ConfigError, ExperimentConfig, load_config, override
@@ -27,6 +28,7 @@ from .simulator import Fidelity, monte_carlo_sweep
 from .validate import CheckStatus, run_validation
 
 _ROC_HEADER = [f.name for f in fields(RocPoint)]
+_roc_row = attrgetter(*_ROC_HEADER)  # shallow, where dataclasses.astuple deep-copies
 _MC_HEADER = ["p_det_mc", "p_fa_mc", "ci_low", "ci_high", "trials"]
 _CELL_HEADER = [
     "width_hz", "wt", "offset_l", "beta",
@@ -86,7 +88,7 @@ def _cmd_cell_probs(config: ExperimentConfig, out: str) -> int:
 
 
 def _cmd_roc(config: ExperimentConfig, out: str) -> int:
-    rows = [astuple(p) for _, points in _roc_tables(config) for p in points]
+    rows = [_roc_row(p) for _, points in _roc_tables(config) for p in points]
     _write_csv(out, _ROC_HEADER, rows)
     print(f"roc: {len(rows)} rows -> {out}")
     return 0
@@ -98,7 +100,7 @@ def _cmd_simulate(config: ExperimentConfig, out: str, workers: int) -> int:
     for grid, points in _roc_tables(config):
         estimates = monte_carlo_sweep(config.sim_config(grid.bin_width_hz), betas,
                                       workers=workers)
-        rows.extend([*astuple(p), e.p_det, e.p_fa, *e.p_det_ci, e.trials]
+        rows.extend([*_roc_row(p), e.p_det, e.p_fa, *e.p_det_ci, e.trials]
                     for p, e in zip(points, estimates))
     _write_csv(out, _ROC_HEADER + _MC_HEADER, rows)
     print(f"simulate: {len(rows)} rows ({config.fidelity.value}, "

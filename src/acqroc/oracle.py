@@ -6,6 +6,7 @@ this module serves as the ground truth the closed-form global detection
 formulas are checked against.  averaged_detection evaluates all K*N
 correct-cell placements at once: one cumprod along the visit order per stack
 probs[placement, bin, phase] capped at _MAX_STACK_CELLS cells to bound memory.
+Its engine _averaged_detection takes the cell P_det by offset (_offset_pdet).
 """
 
 from __future__ import annotations
@@ -83,9 +84,17 @@ def averaged_detection(profile: NonCentralityProfile, beta: float, k: int, n: in
         raise ValueError("k and n must be >= 1")
     if m_accept < 0 or m_accept >= k:
         raise ValueError("m_accept must satisfy 0 <= m_accept < k")
-    pfa = cell_pfa(beta)
-    # offsets 0..k-1 suffice: no placement can see a larger one
-    pdet_by_offset = cell_pdet(np.array([profile.at_offset(s) for s in range(k)]), beta)
+    return _averaged_detection(_offset_pdet(profile, beta, k), cell_pfa(beta), n, m_accept, order)
+
+
+def _offset_pdet(profile: NonCentralityProfile, beta: float, k: int) -> np.ndarray:
+    """P_det at offsets 0..k-1, all that a placement on k bins can see."""
+    return cell_pdet(np.array([profile.at_offset(s) for s in range(k)]), beta)
+
+
+def _averaged_detection(pdet: np.ndarray, pfa: float, n: int, m: int, order: SearchOrder) -> float:
+    """averaged_detection from _offset_pdet of its K bins and the cell P_fa."""
+    k = pdet.size
     bins = np.arange(k)
     step = max(1, _MAX_STACK_CELLS // (k * n))
     detect = np.empty(k * n)
@@ -94,8 +103,8 @@ def averaged_detection(profile: NonCentralityProfile, beta: float, k: int, n: in
         rows, cols = np.arange(cb.size)[:, None], cp[:, None]
         offs = np.abs(bins - cb[:, None])
         stack = np.full((cb.size, k, n), pfa)
-        stack[rows, bins, cols] = pdet_by_offset[offs]
+        stack[rows, bins, cols] = pdet[offs]
         _check_probs(stack)
         stop = _stop_probs(stack, order)[0][rows, bins, cols]
-        detect[lo:lo + cb.size] = np.cumsum(np.where(offs <= m_accept, stop, 0.0), axis=1)[:, -1]
+        detect[lo:lo + cb.size] = np.cumsum(np.where(offs <= m, stop, 0.0), axis=1)[:, -1]
     return float(np.cumsum(detect)[-1] / (k * n))

@@ -445,8 +445,10 @@ def _record_waveform_batch(rng: np.random.Generator, nb: int,
     pre = np.empty((nb, k))
     post = np.empty((nb, k))
     fa_max = np.full(nb, -np.inf)
-    for b, (p, bin_fa_max) in enumerate(bins):
+    for b in range(k):
+        p, bin_fa_max = next(bins)
         pre[:, b], sig[:, b], post[:, b] = _segment_maxima(p, cp).T
+        del p  # let this bin's power go before the next bin is synthesized
         np.maximum(fa_max, bin_fa_max, out=fa_max)
     return _Records(cb=cb, sig=sig, pre=pre, post=post), fa_max
 

@@ -25,17 +25,17 @@ from .analytic import (
     NonCentralityProfile,
     SearchOrder,
     SearchPolicy,
+    _global_pdet,
     cell_pdet,
     cell_pfa,
     expected_noncentrality,
     global_pdet_code_first,
-    global_pdet_doppler_first,
     global_pfa,
     l_max_param,
     roc_curve,
 )
 from .config import ExperimentConfig
-from .oracle import averaged_detection
+from .oracle import _averaged_detection, _offset_pdet
 from .simulator import draw_metric
 
 __all__ = ["CheckStatus", "CheckResult", "run_validation", "GAP_BOUND", "KNOWN_GAP_OFFSETS"]
@@ -76,11 +76,10 @@ def _check_oracle_equivalence(rng: np.random.Generator, instances: int) -> Check
         depth = int(rng.integers(1, 4))
         profile = NonCentralityProfile(tuple(rng.uniform(0.0, 30.0, depth)))
         beta = -math.log(10.0 ** rng.uniform(-6.0, math.log10(0.9)))
-        for order, analytic in (
-                (SearchOrder.CODE_PHASE_FIRST, global_pdet_code_first),
-                (SearchOrder.DOPPLER_FIRST, global_pdet_doppler_first)):
-            a = analytic(profile, SearchPolicy(order, m, beta), n, k)
-            o = averaged_detection(profile, beta, k, n, m, order)
+        pfa, pdet = cell_pfa(beta), _offset_pdet(profile, beta, k)
+        for order in (SearchOrder.CODE_PHASE_FIRST, SearchOrder.DOPPLER_FIRST):
+            a = _global_pdet(order, pdet, pfa, n, k, m)
+            o = _averaged_detection(pdet, pfa, n, m, order)
             if abs(a - o) > worst:
                 worst = abs(a - o)
                 worst_case = f"K={k} N={n} M={m} {order.value}"

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from acqroc.analytic import (
@@ -27,6 +29,9 @@ from acqroc.analytic import (
     l_max_param,
     roc_curve,
 )
+from acqroc.analytic import (
+    _code_first_value, _integrate_mean, _leggauss, _residual_doppler_mean, _signed_pdet)
+from acqroc.numerics import sinc
 
 PARAMS = SignalParams(cn0_dbhz=40.0, t_per=1e-3)
 N = 1023
@@ -171,6 +176,57 @@ class TestCellProbabilities:
         beta = 9.0
         for l in (0, 1, 2, 5, 7):
             assert cell_pdet_exact(PARAMS, grid, l, beta) >= cell_pfa(beta) - 1e-12
+
+
+class TestCellMonotonicity:
+    # roundoff of one call against another may reach a few ulp of 1
+    SLACK = 1e-15
+
+    @settings(max_examples=150, deadline=None)
+    @given(l=st.floats(0.0, 200.0), dl=st.floats(0.0, 50.0), beta=st.floats(0.0, 50.0))
+    def test_does_not_decrease_in_noncentrality(self, l, dl, beta):
+        assert cell_pdet(l + dl, beta) >= cell_pdet(l, beta) - self.SLACK
+
+    @settings(max_examples=150, deadline=None)
+    @given(l=st.floats(0.0, 200.0), beta=st.floats(0.0, 50.0), dbeta=st.floats(0.0, 20.0))
+    def test_does_not_increase_in_threshold(self, l, beta, dbeta):
+        assert cell_pdet(l, beta + dbeta) <= cell_pdet(l, beta) + self.SLACK
+
+
+def _full_node_mean(params, grid, beta, offsets, reduce=None):
+    """_residual_doppler_mean with the evaluator run on every node."""
+    wt = grid.relative_width
+    lm = l_max_param(params)
+    betas = np.asarray(beta, dtype=np.float64)
+    if betas.ndim:
+        betas = betas[..., None, None]
+
+    def f(xs):
+        pdet = cell_pdet(lm * sinc(xs[:, None] - offsets * wt) ** 2, betas)
+        return np.moveaxis(pdet, -2, -1) if reduce is None else reduce(pdet)
+
+    return _integrate_mean(f, wt / 2.0)
+
+
+class TestHalfNodeQuadrature:
+    @pytest.mark.parametrize("order", [128, 256, 512])
+    def test_leggauss_nodes_are_exactly_antisymmetric(self, order):
+        x, _ = _leggauss(order)  # the nodes the quadrature uses
+        assert np.array_equal(x, -x[::-1])
+        assert np.all(x[order // 2:] > 0.0)
+
+    @pytest.mark.parametrize("offsets", [(0, 1, 2), (2,), (-2, -1, 0, 1, 2)])
+    @pytest.mark.parametrize("width", [200.0, 700.0])
+    def test_equals_full_node_reference(self, width, offsets):
+        grid = _grid(width)
+        k, pfa, offs = grid.num_bins, cell_pfa(9.0), np.array(offsets)
+
+        def code_first(pdet):
+            return _code_first_value(_signed_pdet(pdet, pfa, k), pfa, N, k, 1)
+
+        for beta, reduce in ((default_beta_grid()[::5], None), (9.0, None), (9.0, code_first)):
+            want = _full_node_mean(PARAMS, grid, beta, offs, reduce)
+            assert np.array_equal(_residual_doppler_mean(PARAMS, grid, beta, offs, reduce), want)
 
 
 class TestGlobalProbabilities:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import acqroc.oracle as oracle
+import acqroc.validate as validate
 from acqroc.analytic import (
     NonCentralityProfile,
     SearchOrder,
@@ -201,3 +202,17 @@ class TestArrayOracle:
         want = global_pdet_code_first(profile, SearchPolicy(SearchOrder.CODE_PHASE_FIRST, m, beta), n, k)
         assert abs(got - want) < 1e-12
         assert peak < 64 * 2**20
+
+
+class TestValidateOracleCheck:
+    def test_shared_cell_probabilities_still_compare_two_computations(self, monkeypatch):
+        # validate feeds one cell P_det array to the closed forms and the
+        # oracle; a closed form off by 1e-9 must still fail the check
+        def check():
+            rng = np.random.Generator(np.random.Philox(3))
+            return validate._check_oracle_equivalence(rng, instances=6).status
+
+        assert check() is validate.CheckStatus.PASS
+        engine = validate._global_pdet
+        monkeypatch.setattr(validate, "_global_pdet", lambda *args: engine(*args) + 1e-9)
+        assert check() is validate.CheckStatus.FAIL
