@@ -11,13 +11,11 @@ Its engine _averaged_detection takes the cell P_det by offset (_offset_pdet).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .analytic import NonCentralityProfile, SearchOrder, cell_pdet, cell_pfa
 
-__all__ = ["CellProbabilityGrid", "stop_distribution", "averaged_detection"]
+__all__ = ["stop_distribution", "averaged_detection"]
 
 _MAX_STACK_CELLS = 1 << 20
 
@@ -26,25 +24,6 @@ def _check_probs(p: np.ndarray) -> None:
     # NaN fails both comparisons, so non-finite values are rejected too
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("cell probabilities must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class CellProbabilityGrid:
-    """Per-cell crossing probabilities, K bins by N phases, plus the set of
-    (bin, phase) cells whose stops count as detection."""
-
-    probs: np.ndarray
-    accepted: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        p = self.probs
-        if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
-            raise ValueError("probs must be a K x N matrix with K, N >= 1")
-        _check_probs(p)
-        k, n = p.shape
-        for b, ph in self.accepted:
-            if not (0 <= b < k and 0 <= ph < n):
-                raise ValueError(f"accepted cell {(b, ph)} outside the grid")
 
 
 def _stop_probs(probs: np.ndarray, order: SearchOrder) -> tuple[np.ndarray, np.ndarray]:
@@ -60,11 +39,14 @@ def _stop_probs(probs: np.ndarray, order: SearchOrder) -> tuple[np.ndarray, np.n
     return (stop if visit is probs else stop.swapaxes(-1, -2)), survive[..., -1]
 
 
-def stop_distribution(grid: CellProbabilityGrid,
-                      order: SearchOrder) -> tuple[np.ndarray, float]:
-    """(stop, no_stop): the stop probability per cell, shaped like grid.probs,
-    and the no-stop probability; all K*N + 1 outcomes sum to 1."""
-    stop, no_stop = _stop_probs(grid.probs, order)
+def stop_distribution(probs: np.ndarray, order: SearchOrder) -> tuple[np.ndarray, float]:
+    """(stop, no_stop) for per-cell crossing probabilities, K bins by N
+    phases: the stop probability per cell, shaped like probs, and the
+    no-stop probability; all K*N + 1 outcomes sum to 1."""
+    if probs.ndim != 2 or probs.size == 0:
+        raise ValueError("probs must be a K x N matrix with K, N >= 1")
+    _check_probs(probs)
+    stop, no_stop = _stop_probs(probs, order)
     return stop, float(no_stop)
 
 

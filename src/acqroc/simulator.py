@@ -14,21 +14,17 @@ a distribution.
 
 Unit audit (waveform level).  The decision metric must have noise with
 per-component variance 1/2 so thresholds mean the same thing in both
-fidelities and in the closed forms.  The correlator X = (1/N) sum_n r[n]
-c[n] scales noise variance by 1/N, so complex baseband noise is drawn with
-per-sample per-component variance N/2.  The noiseless correlator peak is
-the baseband amplitude times the Dirichlet kernel D, so amplitude
+fidelities and in the closed forms.  The chain is complex baseband at one
+sample per chip: the C/A code runs at 1.023 Mchip/s and repeats T_per/1 ms
+times within an integration of N = 1023 T_per/1 ms samples, and the code
+periods are summed coherently before the correlation.  The correlator
+X = (1/N) sum_n r[n] c[n] scales noise variance by 1/N, so the noise is
+drawn with per-sample per-component variance N/2.  The noiseless correlator
+peak is the baseband amplitude times the Dirichlet kernel D, so amplitude
 sqrt(C/2) with C = L_max makes the non-centrality of 2|X|^2 equal
 2 (sqrt(C/2) D)^2 = L_max D^2, which is 2 T_per (C/N0) D^2: the defining
-relation between C/N0 and L_max.  In the real-IF validation mode the same
-audit gives per-sample real noise variance equal to the high-rate sample
-count N_high and amplitude sqrt(2 C): downconversion halves the amplitude
-and splits the noise between components, averaging by R = N_high/N then
-restores the chip-rate figures above.  Either way the code runs at
-1.023 Mchip/s, f_s/1.023 MHz samples per chip, and repeats T_per/1 ms times
-within an integration; each chip's samples are averaged and the code
-periods summed coherently, so the correlator still averages all N_high
-samples of the integration and the audit is unchanged.
+relation between C/N0 and L_max.  Detection searches with the signal's
+PRN 1, the false-alarm search with PRN 5.
 
 Determinism.  Trials are processed in fixed-size batches; batch i of run
 tag t draws from its own SFC64 generator, seeded with the i-th child of
@@ -57,14 +53,11 @@ from .prncode import CODE_LENGTH, generate_ca_code
 
 __all__ = [
     "Fidelity",
-    "WaveformConfig",
     "SimConfig",
     "McEstimate",
     "draw_metric",
     "monte_carlo_sweep",
     "wilson_interval",
-    "dirichlet_kernel",
-    "noiseless_metric",
 ]
 
 # Fixed batch sizes are part of the algorithm: changing them would reshuffle
@@ -74,6 +67,9 @@ _BATCH_WAVEFORM = 256
 
 # the C/A code: 1023 chips at 1.023 Mchip/s, one period per millisecond
 _CHIP_RATE_HZ = 1.023e6
+# the transmitted code, and the code the false-alarm search despreads with
+_PRN_SIGNAL = 1
+_PRN_FALSE_ALARM = 5
 
 
 class Fidelity(Enum):
@@ -81,45 +77,13 @@ class Fidelity(Enum):
     WAVEFORM = "waveform"
 
 
-@dataclass(frozen=True)
-class WaveformConfig:
-    """Sampling and code selection for the waveform-level chain.
-
-    f_if = 0 selects complex-baseband synthesis at f_s, a nonzero f_if
-    real-valued IF synthesis at f_s; both average down to one sample per
-    chip, so f_s must be a whole multiple of the 1.023 MHz chip rate.
-    Detection searches with prn_signal, the false-alarm search with
-    false_alarm_prn.
-    """
-
-    f_s: float = 1.023e6
-    f_if: float = 0.0
-    prn_signal: int = 1
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.f_s) and self.f_s > 0.0):
-            raise ValueError("f_s must be positive")
-        if not (math.isfinite(self.f_if) and self.f_if >= 0.0):
-            raise ValueError("f_if must be finite and >= 0")
-
-    def _chip_layout(self, t_per: float) -> tuple[int, int]:
-        """Samples per chip f_s/1.023 MHz and code periods T_per/1 ms."""
-        r, periods = self.f_s / _CHIP_RATE_HZ, t_per * _CHIP_RATE_HZ / CODE_LENGTH
-        if not all(round(v) >= 1 and abs(v - round(v)) <= 1e-9 * v for v in (r, periods)):
-            raise ValueError(f"f_s / 1.023 MHz = {r!r} and t_per / 1 ms = {periods!r} "
-                             "must be whole numbers")
-        return round(r), round(periods)
-
-    def samples_per_period(self, t_per: float) -> int:
-        """Samples per integration period: chips x samples per chip x code
-        periods."""
-        r, periods = self._chip_layout(t_per)
-        return CODE_LENGTH * r * periods
-
-    @property
-    def false_alarm_prn(self) -> int:
-        """PRN 5, or PRN 1 when the signal is PRN 5."""
-        return 5 if self.prn_signal != 5 else 1
+def _code_periods(t_per: float) -> int:
+    """Code periods T_per/1 ms per integration, which must be whole."""
+    periods = t_per * _CHIP_RATE_HZ / CODE_LENGTH
+    if round(periods) < 1 or abs(periods - round(periods)) > 1e-9 * periods:
+        raise ValueError(f"t_per / 1 ms = {periods!r}: the waveform chain needs "
+                         "whole numbers of 1 ms code periods")
+    return round(periods)
 
 
 @dataclass(frozen=True)
@@ -133,7 +97,6 @@ class SimConfig:
     grid: DopplerGrid
     policy: SearchPolicy
     l_max: int = 2
-    waveform: WaveformConfig = WaveformConfig()
 
     def __post_init__(self) -> None:
         if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
@@ -142,7 +105,7 @@ class SimConfig:
             raise ValueError("seed must be a non-negative integer")
         _check_global_args(self.grid.num_bins, self.policy.accept_half_width, l_max=self.l_max)
         if self.fidelity is Fidelity.WAVEFORM:
-            self.waveform.samples_per_period(self.params.t_per)
+            _code_periods(self.params.t_per)
 
 
 @dataclass(frozen=True)
@@ -231,69 +194,32 @@ def _realized_l(params: SignalParams, grid: DopplerGrid, l_max: int,
     return lvals
 
 
-def dirichlet_kernel(x, n: int = CODE_LENGTH):
-    """sin(pi x) / (n sin(pi x / n)): the exact frequency-mismatch loss of an
-    n-point average; approaches sinc(x) for large n."""
-    xa = np.asarray(x, dtype=np.float64)
-    num = np.sin(np.pi * xa)
-    den = n * np.sin(np.pi * xa / n)
-    small = np.abs(den) < 1e-300
-    out = np.where(small, 1.0, num / np.where(small, 1.0, den))
-    return float(out) if np.ndim(x) == 0 else out
+def _received_rows(params: SignalParams, csig_rows: np.ndarray, f_doppler: np.ndarray,
+                   theta: np.ndarray) -> np.ndarray:
+    """Noiseless complex-baseband samples of a batch, rows trials: each
+    trial's code-modulated carrier at its Doppler and carrier phase,
+    synthesized once for all Doppler bins."""
+    t = np.arange(csig_rows.shape[1]) / _CHIP_RATE_HZ
+    phase = 2.0 * np.pi * f_doppler[:, None] * t[None, :] + theta[:, None]
+    return math.sqrt(l_max_param(params) / 2.0) * csig_rows * np.exp(1j * phase)
 
 
-def _received_rows(params: SignalParams, wf: WaveformConfig, csig_rows: np.ndarray,
-                   f_doppler: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Noiseless received samples of a batch, rows trials: each trial's
-    code-modulated carrier at its Doppler and carrier phase, synthesized once
-    for all Doppler bins (complex baseband, or real IF when f_if > 0)."""
-    lm = l_max_param(params)
-    t = np.arange(csig_rows.shape[1]) / wf.f_s
-    if wf.f_if == 0.0:
-        phase = 2.0 * np.pi * f_doppler[:, None] * t[None, :] + theta[:, None]
-        return math.sqrt(lm / 2.0) * csig_rows * np.exp(1j * phase)
-    carrier = np.cos(2.0 * np.pi * (wf.f_if + f_doppler[:, None]) * t[None, :]
-                     + theta[:, None])
-    return math.sqrt(2.0 * lm) * csig_rows * carrier
-
-
-def _synth_bin(params: SignalParams, wf: WaveformConfig, rng: np.random.Generator | None,
-               rx: np.ndarray, f_local: float) -> np.ndarray:
-    """One Doppler bin's samples, downconverted and folded to one code period
-    at chip rate: the received rows rx of `_received_rows` times the bin's
-    local-oscillator row, plus that bin's fresh noise; rows are trials.
-    At baseband the noise is one standard_normal((nb, 2 n_high)) draw read
-    as complex (real and imaginary parts interleaved), scaled in place to
-    per-component variance n_high/2, with the downconverted carrier added in
-    place; at real IF it is one standard_normal((nb, n_high)) plane of
-    variance n_high added before the downconversion.  rng None disables
-    noise."""
-    nb, n_high = rx.shape
-    r, periods = wf._chip_layout(params.t_per)
-    t = np.arange(n_high) / wf.f_s
-    if wf.f_if == 0.0:
-        # complex baseband: only the residual Doppler matters
-        lo = np.exp(-2j * np.pi * f_local * t)
-        if rng is None:
-            base = rx * lo
-        else:
-            g = rng.standard_normal((nb, 2 * n_high))
-            g *= math.sqrt(n_high / 2.0)
-            base = g.view(np.complex128)
-            base += rx * lo
-    else:
-        # real IF: add the passband noise and multiply down
-        y = rx
-        if rng is not None:
-            y = rng.standard_normal((nb, n_high))
-            y *= math.sqrt(float(n_high))
-            y += rx
-        base = y * np.exp(-2j * np.pi * (wf.f_if + f_local) * t)[None, :]
-    # average each chip's r samples, then sum the code periods coherently
-    if r > 1:
-        base = base.reshape(nb, -1, r).mean(axis=2)
-    if periods > 1:
-        base = base.reshape(nb, periods, CODE_LENGTH).mean(axis=1)
+def _synth_bin(rng: np.random.Generator, rx: np.ndarray, f_local: float) -> np.ndarray:
+    """One Doppler bin's samples, downconverted and folded to one code
+    period: the received rows rx of `_received_rows` times the bin's
+    local-oscillator row, plus that bin's fresh noise; rows are trials.  The
+    noise is one standard_normal((nb, 2 n)) draw read as complex (real and
+    imaginary parts interleaved), scaled in place to per-component variance
+    n/2, with the downconverted carrier added in place; the code periods are
+    then summed coherently."""
+    nb, n = rx.shape
+    lo = np.exp(-2j * np.pi * f_local * (np.arange(n) / _CHIP_RATE_HZ))
+    g = rng.standard_normal((nb, 2 * n))
+    g *= math.sqrt(n / 2.0)
+    base = g.view(np.complex128)
+    base += rx * lo
+    if n > CODE_LENGTH:
+        base = base.reshape(nb, -1, CODE_LENGTH).mean(axis=1)
     return base
 
 
@@ -324,24 +250,12 @@ def _correlate_all_phases(baseband: np.ndarray, spectra: tuple[np.ndarray, ...])
         yield np.add(v[:, 0::2], v[:, 1::2], out=v[:, 0::2] if i < last else None)
 
 
-def _code_rows(prn: int, cp: np.ndarray, r: int, periods: int) -> np.ndarray:
-    """Code chips delayed by each trial's phase, sample-and-held r times and
-    repeated over the code periods."""
+def _code_rows(prn: int, cp: np.ndarray, periods: int) -> np.ndarray:
+    """Code chips delayed by each trial's phase, repeated over the code
+    periods."""
     chips = generate_ca_code(prn).chips.astype(np.float64)
     idx = (np.arange(CODE_LENGTH)[None, :] - cp[:, None]) % CODE_LENGTH
-    return np.tile(np.repeat(chips[idx], r, axis=1), periods)
-
-
-def noiseless_metric(params: SignalParams, wf: WaveformConfig, delta_f_hz: float,
-                     code_phase: int = 0) -> float:
-    """Decision metric |X|^2 of the full chain without noise, at the correct
-    code phase and a residual Doppler of delta_f_hz from the local frequency."""
-    prn = wf.prn_signal
-    csig = _code_rows(prn, np.array([code_phase]), *wf._chip_layout(params.t_per))
-    rx = _received_rows(params, wf, csig, np.array([float(delta_f_hz)]), np.zeros(1))
-    base = _synth_bin(params, wf, None, rx, 0.0)
-    p, = _correlate_all_phases(base, (_search_spectrum(prn),))
-    return float(p[0, code_phase])
+    return np.tile(chips[idx], periods)
 
 
 def _bin_centers(grid: DopplerGrid) -> np.ndarray:
@@ -392,7 +306,6 @@ def _waveform_batch(rng: np.random.Generator, nb: int, config: SimConfig):
     maximum of the false-alarm code's search over the same samples; each
     bin downconverts with its local-oscillator row and draws its noise as it
     is reached."""
-    wf = config.waveform
     grid = config.grid
     k, n = grid.num_bins, CODE_LENGTH
     cb = rng.integers(0, k, nb)
@@ -400,18 +313,18 @@ def _waveform_batch(rng: np.random.Generator, nb: int, config: SimConfig):
     df0 = rng.uniform(-grid.bin_width_hz / 2.0, grid.bin_width_hz / 2.0, nb)
     theta = rng.uniform(0.0, 2.0 * math.pi, nb)
     centers = _bin_centers(grid)
-    csig = _code_rows(wf.prn_signal, cp, *wf._chip_layout(config.params.t_per))
-    rx = _received_rows(config.params, wf, csig, centers[cb] + df0, theta)
+    csig = _code_rows(_PRN_SIGNAL, cp, _code_periods(config.params.t_per))
+    rx = _received_rows(config.params, csig, centers[cb] + df0, theta)
     # false-alarm search first: its power, formed in place in a copy of the
     # bin's DFT, is reduced to row maxima before the signal search runs
-    spectra = (_search_spectrum(wf.false_alarm_prn), _search_spectrum(wf.prn_signal))
+    spectra = (_search_spectrum(_PRN_FALSE_ALARM), _search_spectrum(_PRN_SIGNAL))
 
     def bins():
         # closing the correlator lets the bin's samples go before the next
         # bin is drawn
         for b in range(k):
             powers = _correlate_all_phases(
-                _synth_bin(config.params, wf, rng, rx, float(centers[b])), spectra)
+                _synth_bin(rng, rx, float(centers[b])), spectra)
             fa_max = next(powers).max(axis=1)
             yield next(powers), fa_max
             powers.close()

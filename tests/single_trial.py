@@ -1,6 +1,7 @@
 """Single-trial serial searches: the independent reference for the batched
-threshold replay of acqroc.simulator, and the per-placement enumeration the
-array form of acqroc.oracle.averaged_detection is held to.
+threshold replay of acqroc.simulator, the per-placement enumeration the
+array form of acqroc.oracle.averaged_detection is held to, and the
+noiseless waveform chain with its Dirichlet-kernel reference.
 
 Each trial draws every cell metric of the K x N grid (metric level) or
 synthesizes every bin (waveform level, through the simulator's own trial
@@ -11,14 +12,16 @@ walks recorded segment maxima the same way, one threshold at a time, as the
 reference for the batched interval counting.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from acqroc.analytic import NonCentralityProfile, SearchOrder, cell_pdet, cell_pfa
+from acqroc.analytic import NonCentralityProfile, SearchOrder, SignalParams, cell_pdet, cell_pfa
 from acqroc.prncode import CODE_LENGTH
-from acqroc.simulator import SimConfig, WaveformConfig, _realized_l, _waveform_batch, draw_metric
+from acqroc.simulator import (_PRN_SIGNAL, SimConfig, _code_periods, _code_rows,
+                              _correlate_all_phases, _realized_l, _received_rows,
+                              _search_spectrum, _synth_bin, _waveform_batch, draw_metric)
 
 
 class Classification(Enum):
@@ -76,12 +79,11 @@ def run_metric_trial(config: SimConfig, rng: np.random.Generator) -> TrialOutcom
     return _classify(stop, cb, cp, config.policy.accept_half_width)
 
 
-def run_waveform_trial(config: SimConfig, waveform: WaveformConfig,
-                       rng: np.random.Generator) -> TrialOutcome:
+def run_waveform_trial(config: SimConfig, rng: np.random.Generator) -> TrialOutcome:
     """One serial search with metrics produced by the synthesized chain,
     using a fresh noise realization for every Doppler bin."""
     beta = config.policy.require_threshold()
-    cb, cp, bins = _waveform_batch(rng, 1, replace(config, waveform=waveform))
+    cb, cp, bins = _waveform_batch(rng, 1, config)
     stop = _serial_search(np.concatenate([p for p, _ in bins]), config.policy.order, beta)
     return _classify(stop, int(cb[0]), int(cp[0]), config.policy.accept_half_width)
 
@@ -146,3 +148,32 @@ def averaged_detection_serial(profile: NonCentralityProfile, beta: float, k: int
             total += sum(stop[b, cp] for b in range(max(0, cb - m_accept),
                                                      min(k, cb + m_accept + 1)))
     return total / (k * n)
+
+
+def dirichlet_kernel(x, n: int = CODE_LENGTH):
+    """sin(pi x) / (n sin(pi x / n)): the exact frequency-mismatch loss of an
+    n-point average; approaches sinc(x) for large n."""
+    xa = np.asarray(x, dtype=np.float64)
+    num = np.sin(np.pi * xa)
+    den = n * np.sin(np.pi * xa / n)
+    small = np.abs(den) < 1e-300
+    out = np.where(small, 1.0, num / np.where(small, 1.0, den))
+    return float(out) if np.ndim(x) == 0 else out
+
+
+class _ZeroNoise:
+    """Stands in for the generator of `_synth_bin`: all its noise is zero."""
+
+    @staticmethod
+    def standard_normal(shape):
+        return np.zeros(shape)
+
+
+def noiseless_metric(params: SignalParams, delta_f_hz: float, code_phase: int = 0) -> float:
+    """Decision metric |X|^2 of the full chain without noise, at the correct
+    code phase and a residual Doppler of delta_f_hz from the local frequency."""
+    csig = _code_rows(_PRN_SIGNAL, np.array([code_phase]), _code_periods(params.t_per))
+    rx = _received_rows(params, csig, np.array([float(delta_f_hz)]), np.zeros(1))
+    p, = _correlate_all_phases(_synth_bin(_ZeroNoise(), rx, 0.0),
+                               (_search_spectrum(_PRN_SIGNAL),))
+    return float(p[0, code_phase])

@@ -39,14 +39,13 @@ from acqroc.prncode import CODE_LENGTH
 from acqroc.simulator import (
     Fidelity,
     SimConfig,
-    WaveformConfig,
-    dirichlet_kernel,
+    _code_periods,
     draw_metric,
     monte_carlo_sweep,
-    noiseless_metric,
     wilson_interval,
 )
 from acqroc.validate import KNOWN_GAP_OFFSETS
+from single_trial import dirichlet_kernel, noiseless_metric
 
 PARAMS = SignalParams(cn0_dbhz=40.0, t_per=1.0e-3)
 WIDTHS_HZ = (200.0, 500.0, 700.0, 1000.0)
@@ -280,13 +279,12 @@ def test_criterion_4_strict(reference_sweeps, criterion_report):
 # --- criterion 5: waveform chain reproduces the Dirichlet kernel ------------
 
 def test_criterion_5_waveform_fidelity(criterion_report):
-    wf = WaveformConfig()
-    n_high = wf.samples_per_period(PARAMS.t_per)
+    n_samples = N_PHASES * _code_periods(PARAMS.t_per)
     lm = l_max_param(PARAMS)
     worst_metric = 0.0
     for dft in (0.0, 0.25, 0.5, 1.0):
-        got = noiseless_metric(PARAMS, wf, dft / PARAMS.t_per, code_phase=387)
-        want = dirichlet_kernel(dft, n_high) ** 2
+        got = noiseless_metric(PARAMS, dft / PARAMS.t_per, code_phase=387)
+        want = dirichlet_kernel(dft, n_samples) ** 2
         worst_metric = max(worst_metric, abs(2.0 * got / lm - want))
     x = np.linspace(-3.0, 3.0, 6001)
     worst_kernel = float(np.max(np.abs(dirichlet_kernel(x, N_PHASES)

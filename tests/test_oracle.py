@@ -21,40 +21,38 @@ from acqroc.analytic import (
     global_pdet_doppler_first,
     global_pdet_naive,
 )
-from acqroc.oracle import CellProbabilityGrid, averaged_detection, stop_distribution
+from acqroc.oracle import averaged_detection, stop_distribution
 from single_trial import averaged_detection_serial
 
 
 class TestStopDistribution:
     def test_hand_worked_2x2_code_first(self):
-        grid = CellProbabilityGrid(
-            probs=np.array([[0.5, 0.25], [0.125, 0.0625]]), accepted=frozenset())
-        stop, no_stop = stop_distribution(grid, SearchOrder.CODE_PHASE_FIRST)
+        probs = np.array([[0.5, 0.25], [0.125, 0.0625]])
+        stop, no_stop = stop_distribution(probs, SearchOrder.CODE_PHASE_FIRST)
         # visit order (b0,p0), (b0,p1), (b1,p0), (b1,p1)
         want = np.array([[0.5, 0.125], [0.046875, 0.0205078125]])
         np.testing.assert_allclose(stop, want, rtol=0, atol=0)
         assert no_stop == 0.3076171875
 
     def test_hand_worked_2x2_doppler_first(self):
-        grid = CellProbabilityGrid(
-            probs=np.array([[0.5, 0.25], [0.125, 0.0625]]), accepted=frozenset())
-        stop, no_stop = stop_distribution(grid, SearchOrder.DOPPLER_FIRST)
+        probs = np.array([[0.5, 0.25], [0.125, 0.0625]])
+        stop, no_stop = stop_distribution(probs, SearchOrder.DOPPLER_FIRST)
         # visit order (b0,p0), (b1,p0), (b0,p1), (b1,p1)
         want = np.array([[0.5, 0.109375], [0.0625, 0.0205078125]])
         np.testing.assert_allclose(stop, want, rtol=0, atol=0)
         assert no_stop == 0.3076171875
 
     def test_single_cell(self):
-        grid = CellProbabilityGrid(probs=np.array([[0.3]]), accepted=frozenset())
+        probs = np.array([[0.3]])
         for order in SearchOrder:
-            stop, no_stop = stop_distribution(grid, order)
+            stop, no_stop = stop_distribution(probs, order)
             assert stop[0, 0] == 0.3
             assert no_stop == 0.7
 
     def test_all_equal_probabilities_are_geometric(self):
         p = 0.2
-        grid = CellProbabilityGrid(probs=np.full((3, 4), p), accepted=frozenset())
-        stop, no_stop = stop_distribution(grid, SearchOrder.CODE_PHASE_FIRST)
+        probs = np.full((3, 4), p)
+        stop, no_stop = stop_distribution(probs, SearchOrder.CODE_PHASE_FIRST)
         flat = stop.reshape(-1)
         want = p * (1.0 - p) ** np.arange(12)
         np.testing.assert_allclose(flat, want, rtol=1e-15)
@@ -65,31 +63,28 @@ class TestStopDistribution:
         for _ in range(20):
             k = int(rng.integers(1, 7))
             n = int(rng.integers(1, 9))
-            grid = CellProbabilityGrid(probs=rng.random((k, n)), accepted=frozenset())
+            probs = rng.random((k, n))
             for order in SearchOrder:
-                stop, no_stop = stop_distribution(grid, order)
+                stop, no_stop = stop_distribution(probs, order)
                 assert abs(stop.sum() + no_stop - 1.0) < 1e-14
 
     def test_no_stop_ignores_visit_order(self):
         rng = np.random.default_rng(3)
         probs = rng.random((4, 5))
-        grid = CellProbabilityGrid(probs=probs, accepted=frozenset())
-        _, a = stop_distribution(grid, SearchOrder.CODE_PHASE_FIRST)
-        _, b = stop_distribution(grid, SearchOrder.DOPPLER_FIRST)
+        _, a = stop_distribution(probs, SearchOrder.CODE_PHASE_FIRST)
+        _, b = stop_distribution(probs, SearchOrder.DOPPLER_FIRST)
         shuffled = probs.reshape(-1).copy()
         rng.shuffle(shuffled)
-        grid2 = CellProbabilityGrid(probs=shuffled.reshape(4, 5), accepted=frozenset())
-        _, c = stop_distribution(grid2, SearchOrder.CODE_PHASE_FIRST)
+        _, c = stop_distribution(shuffled.reshape(4, 5), SearchOrder.CODE_PHASE_FIRST)
         assert a == pytest.approx(b, abs=1e-16)
         assert a == pytest.approx(c, rel=1e-13)
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            CellProbabilityGrid(probs=np.array([0.5, 0.5]), accepted=frozenset())
-        with pytest.raises(ValueError):
-            CellProbabilityGrid(probs=np.array([[1.5]]), accepted=frozenset())
-        with pytest.raises(ValueError):
-            CellProbabilityGrid(probs=np.array([[0.5]]), accepted=frozenset({(1, 0)}))
+        for order in SearchOrder:
+            with pytest.raises(ValueError):
+                stop_distribution(np.array([0.5, 0.5]), order)
+            with pytest.raises(ValueError):
+                stop_distribution(np.array([[1.5]]), order)
 
 
 class TestAveragedDetection:

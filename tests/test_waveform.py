@@ -1,5 +1,6 @@
-"""Waveform-level chain: noiseless transfer function, real-IF validation
-mode, cross-fidelity agreement, and code cross-correlation effects."""
+"""Waveform-level chain, chip-rate complex baseband with PRN 1 as the signal
+and PRN 5 as the false-alarm search code: noiseless transfer function,
+cross-fidelity agreement, and code cross-correlation effects."""
 
 import math
 
@@ -21,31 +22,29 @@ from acqroc.prncode import CODE_LENGTH, generate_ca_code
 from acqroc.simulator import (
     Fidelity,
     SimConfig,
-    WaveformConfig,
+    _code_periods,
     _correlate_all_phases,
     _search_spectrum,
     _segment_maxima,
     _synth_bin,
     _waveform_batch,
-    dirichlet_kernel,
     monte_carlo_sweep,
-    noiseless_metric,
 )
-from single_trial import Classification, run_waveform_trial
+from single_trial import (Classification, _ZeroNoise, dirichlet_kernel, noiseless_metric,
+                          run_waveform_trial)
 
 PARAMS = SignalParams(cn0_dbhz=40.0, t_per=1e-3)
 N = CODE_LENGTH
 GRID = DopplerGrid(1000.0, 5000.0, 1e-3)
 
 
-def _wave_config(trials, seed, m=0, threshold=None, waveform=WaveformConfig()):
+def _wave_config(trials, seed, m=0, threshold=None):
     return SimConfig(trials=trials, seed=seed, fidelity=Fidelity.WAVEFORM,
                      params=PARAMS, grid=GRID,
-                     policy=SearchPolicy(SearchOrder.CODE_PHASE_FIRST, m, threshold),
-                     waveform=waveform)
+                     policy=SearchPolicy(SearchOrder.CODE_PHASE_FIRST, m, threshold))
 
 
-class _NoiselessDraws:
+class _NoiselessDraws(_ZeroNoise):
     """Stands in for the generator: one trial with the given correct bin,
     code phase and residual Doppler, zero carrier phase and no noise."""
 
@@ -58,9 +57,6 @@ class _NoiselessDraws:
 
     def uniform(self, lo, hi, size):
         return np.full(size, next(self._uniforms))
-
-    def standard_normal(self, shape):
-        return np.zeros(shape)
 
 
 class TestDirichletKernel:
@@ -82,36 +78,22 @@ class TestDirichletKernel:
 class TestNoiselessChain:
     def test_matches_dirichlet_prediction(self):
         lm = l_max_param(PARAMS)
-        wf = WaveformConfig()
         for dft in (0.0, 0.25, 0.5, 1.0):
-            met = noiseless_metric(PARAMS, wf, dft / 1e-3)
+            met = noiseless_metric(PARAMS, dft / 1e-3)
             want = dirichlet_kernel(dft) ** 2
             assert abs(2.0 * met / lm - want) < 1e-9, dft
 
     def test_peak_independent_of_code_phase(self):
-        wf = WaveformConfig()
-        a = noiseless_metric(PARAMS, wf, 250.0, code_phase=0)
-        b = noiseless_metric(PARAMS, wf, 250.0, code_phase=777)
+        a = noiseless_metric(PARAMS, 250.0, code_phase=0)
+        b = noiseless_metric(PARAMS, 250.0, code_phase=777)
         assert a == pytest.approx(b, rel=1e-12)
 
-    def test_real_if_validation_mode(self):
-        # fs = 4.092 MHz, fIF = fs/4: averaging by 4 cancels the image term
-        # to first order, leaving ~1e-3 of it
-        lm = l_max_param(PARAMS)
-        wf = WaveformConfig(f_s=4.092e6, f_if=1.023e6)
-        for dft, tol in ((0.0, 1e-9), (0.25, 2e-3), (0.5, 1e-6)):
-            met = noiseless_metric(PARAMS, wf, dft / 1e-3)
-            want = dirichlet_kernel(dft) ** 2
-            assert abs(2.0 * met / lm - want) <= tol * max(want, 1.0), dft
-
     def test_sampling_validation(self):
-        with pytest.raises(ValueError):
-            WaveformConfig(f_s=1.5e6).samples_per_period(1e-3)
-        with pytest.raises(ValueError):
-            WaveformConfig(f_s=2.046e6).samples_per_period(1.5e-3)
-        assert WaveformConfig().samples_per_period(1e-3) == N
-        assert WaveformConfig(f_s=4.092e6).samples_per_period(1e-3) == 4 * N
-        assert WaveformConfig(f_s=2.046e6).samples_per_period(4e-3) == 8 * N
+        # the chain integrates whole 1 ms code periods
+        assert _code_periods(1e-3) == 1
+        assert _code_periods(4e-3) == 4
+        with pytest.raises(ValueError, match="whole numbers"):
+            _code_periods(1.5e-3)
 
     def test_code_runs_at_chip_rate_over_several_periods(self):
         # at T_per = 2 ms the code runs at 1.023 Mchip/s and repeats once:
@@ -134,28 +116,21 @@ class TestNoiselessChain:
 
 
 class TestChainReference:
-    @pytest.mark.parametrize("t_per, wf", [
-        (1e-3, WaveformConfig()),
-        (2e-3, WaveformConfig()),
-        (1e-3, WaveformConfig(f_s=4.092e6, f_if=1.023e6)),
-    ], ids=["baseband-1ms", "baseband-2ms", "real-if"])
-    def test_powers_match_per_bin_synthesis(self, t_per, wf):
+    @pytest.mark.parametrize("t_per", [1e-3, 2e-3], ids=["baseband-1ms", "baseband-2ms"])
+    def test_powers_match_per_bin_synthesis(self, t_per):
         # reference: draw the trial setup and, per bin, the noise in the
-        # chain's order and layout (at baseband one draw of 2 n_high normals
-        # per trial, real and imaginary parts interleaved), synthesize each
-        # bin's received samples from scratch (carrier at the residual
-        # Doppler f_d - f_b, or the passband carrier multiplied down) and
-        # correlate them at full rate against every delayed copy of the
-        # signal code and of the false-alarm code (PRN 5), keeping each
-        # row's maximum of the latter
+        # chain's order and layout (one draw of 2 n_high normals per trial,
+        # real and imaginary parts interleaved), synthesize each bin's
+        # received samples from scratch (carrier at the residual Doppler
+        # f_d - f_b) and correlate them over the whole integration against
+        # every delayed copy of the signal code (PRN 1) and of the
+        # false-alarm code (PRN 5), keeping each row's maximum of the latter
         params = SignalParams(cn0_dbhz=40.0, t_per=t_per)
         grid = DopplerGrid(500.0, 2000.0, t_per)
         config = SimConfig(trials=1, seed=0, fidelity=Fidelity.WAVEFORM, params=params,
-                           grid=grid, policy=SearchPolicy(SearchOrder.CODE_PHASE_FIRST, 0),
-                           waveform=wf)
+                           grid=grid, policy=SearchPolicy(SearchOrder.CODE_PHASE_FIRST, 0))
         nb, k, seed = 3, grid.num_bins, 12345
-        n_high = wf.samples_per_period(t_per)
-        r = round(wf.f_s / 1.023e6)
+        n_high = N * round(t_per / 1e-3)
         lm = l_max_param(params)
         rng = np.random.Generator(np.random.Philox(seed))
         cb = rng.integers(0, k, nb)
@@ -164,8 +139,8 @@ class TestChainReference:
         theta = rng.uniform(0.0, 2.0 * math.pi, nb)
         centers = (np.arange(k) - (k - 1) / 2.0) * grid.bin_width_hz
         fd = centers[cb] + df0
-        t = np.arange(n_high) / wf.f_s
-        chip = np.arange(n_high) // r
+        t = np.arange(n_high) / 1.023e6
+        chip = np.arange(n_high)
         code = generate_ca_code(1).chips.astype(np.float64)
         csig = code[(chip[None, :] - cp[:, None]) % N]
         search = code[(chip[None, :] - np.arange(N)[:, None]) % N]
@@ -173,18 +148,11 @@ class TestChainReference:
         search5 = code5[(chip[None, :] - np.arange(N)[:, None]) % N]
         want, want_fa = [], []
         for fb in centers:
-            if wf.f_if == 0.0:
-                phase = 2.0 * np.pi * (fd[:, None] - fb) * t[None, :] + theta[:, None]
-                g = rng.standard_normal((nb, 2 * n_high))
-                noise = g[:, 0::2] + 1j * g[:, 1::2]
-                rx = (math.sqrt(lm / 2.0) * csig * np.exp(1j * phase)
-                      + math.sqrt(n_high / 2.0) * noise)
-            else:
-                y = (math.sqrt(2.0 * lm) * csig
-                     * np.cos(2.0 * np.pi * (wf.f_if + fd[:, None]) * t[None, :]
-                              + theta[:, None])
-                     + math.sqrt(float(n_high)) * rng.standard_normal((nb, n_high)))
-                rx = y * np.exp(-2j * np.pi * (wf.f_if + fb) * t)[None, :]
+            phase = 2.0 * np.pi * (fd[:, None] - fb) * t[None, :] + theta[:, None]
+            g = rng.standard_normal((nb, 2 * n_high))
+            noise = g[:, 0::2] + 1j * g[:, 1::2]
+            rx = (math.sqrt(lm / 2.0) * csig * np.exp(1j * phase)
+                  + math.sqrt(n_high / 2.0) * noise)
             want.append(np.abs(rx @ search.T / n_high) ** 2)
             want_fa.append((np.abs(rx @ search5.T / n_high) ** 2).max(axis=1))
         got_cb, got_cp, bins = _waveform_batch(np.random.Generator(np.random.Philox(seed)),
@@ -218,23 +186,23 @@ class TestSegmentMaxima:
 
 
 class TestNoiseUnits:
-    @pytest.mark.parametrize("wf", [WaveformConfig(), WaveformConfig(f_s=4.092e6, f_if=1.023e6)],
-                             ids=["baseband", "real-if"])
-    def test_signal_free_cells_are_unit_exponential(self, wf):
+    @pytest.mark.parametrize("t_per", [1e-3, 2e-3], ids=["baseband", "baseband-2ms"])
+    def test_signal_free_cells_are_unit_exponential(self, t_per):
         # with the signal switched off every cell |X|^2 is Exp(1), i.e. the
         # noise has per-component variance 1/2 after the correlator: the
         # mean over all cells and the exceedance fractions at beta = 2, 5
         # sit within 4 sigma of 1 and e^-beta; the cells of one row are
         # correlated through the code autocorrelation rho(d), which inflates
         # the variance of a row mean by sum_d |rho(d)|^2 (1.94 for PRN 1),
-        # and to first order in |rho|^2 bounds the exceedance inflation too
-        nb, n_high = 256, wf.samples_per_period(PARAMS.t_per)
+        # and to first order in |rho|^2 bounds the exceedance inflation too;
+        # at 2 ms the two code periods are summed before the correlation
+        nb, n_high = 256, N * _code_periods(t_per)
         rng = np.random.Generator(np.random.SFC64(7))
         rx = np.zeros((nb, n_high))
         spectrum = _search_spectrum(1)
         cells = np.concatenate([
             p for f_local in (-2000.0, 0.0, 500.0, 1500.0)
-            for p in _correlate_all_phases(_synth_bin(PARAMS, wf, rng, rx, f_local), (spectrum,))
+            for p in _correlate_all_phases(_synth_bin(rng, rx, f_local), (spectrum,))
         ]).ravel()
         code = generate_ca_code(1).chips.astype(np.float64)
         rho = np.fft.ifft(np.abs(np.fft.fft(code)) ** 2).real / N
@@ -246,30 +214,21 @@ class TestNoiseUnits:
             assert abs(np.mean(cells > beta) - q) < 4.0 * se, beta
 
 
-class TestSearchPrnSelection:
-    def test_defaults(self):
-        wf = WaveformConfig()
-        assert wf.prn_signal == 1
-        assert wf.false_alarm_prn == 5
-        wf5 = WaveformConfig(prn_signal=5)
-        assert wf5.false_alarm_prn == 1
-
-
 class TestSingleWaveformTrial:
     def test_zero_threshold_stops_at_first_cell(self):
         cfg = _wave_config(1, 4, threshold=0.0)
-        out = run_waveform_trial(cfg, cfg.waveform, np.random.default_rng(4))
+        out = run_waveform_trial(cfg, np.random.default_rng(4))
         assert out.stopped and out.stop_bin == 0 and out.stop_phase == 0
 
     def test_huge_threshold_never_stops(self):
         cfg = _wave_config(1, 4, threshold=500.0)
-        out = run_waveform_trial(cfg, cfg.waveform, np.random.default_rng(4))
+        out = run_waveform_trial(cfg, np.random.default_rng(4))
         assert out.classified is Classification.NO_STOP
 
     def test_moderate_threshold_detects_sometimes(self):
         cfg = _wave_config(1, 4, m=1, threshold=10.0)
         rng = np.random.default_rng(8)
-        seen = {run_waveform_trial(cfg, cfg.waveform, rng).classified for _ in range(40)}
+        seen = {run_waveform_trial(cfg, rng).classified for _ in range(40)}
         assert Classification.DETECTION in seen
 
     def test_outcome_frequencies_match_the_sweep(self):
@@ -287,7 +246,7 @@ class TestSingleWaveformTrial:
             rng = np.random.default_rng(23)
             single = {c: 0 for c in Classification}
             for _ in range(trials):
-                single[run_waveform_trial(cfg, cfg.waveform, rng).classified] += 1
+                single[run_waveform_trial(cfg, rng).classified] += 1
             r = monte_carlo_sweep(cfg, [beta])[0]
             swept = {Classification.DETECTION: r.n_detect,
                      Classification.FALSE_STOP: r.n_false_stop,
@@ -318,37 +277,68 @@ class TestFixedSeedRegression:
             256, 256, 256, 256, 256, 251, 248, 227, 212, 178, 143, 122, 98, 69, 49, 38, 23,
             12, 9, 5, 5, 4, 4, 3, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 
+    def test_two_period_sweep_counts_are_pinned(self):
+        # the same pin at T_per = 2 ms (two code periods summed per
+        # integration; W = 250 Hz, f_dmax = 2000 Hz, M = 0, code-first):
+        # a change to the multi-period realizations shows here
+        params = SignalParams(cn0_dbhz=40.0, t_per=2e-3)
+        config = SimConfig(trials=256, seed=62, fidelity=Fidelity.WAVEFORM, params=params,
+                           grid=DopplerGrid(250.0, 2000.0, 2e-3),
+                           policy=SearchPolicy(SearchOrder.CODE_PHASE_FIRST, 0))
+        res = monte_carlo_sweep(config, default_beta_grid())
+        assert [r.n_detect for r in res] == [
+            0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 4, 4, 4, 5, 6, 11, 15, 20, 24, 33, 43, 59,
+            80, 99, 114, 124, 138, 146, 159, 161, 169, 174, 175, 177, 179, 179, 177, 170, 170,
+            168, 164, 165, 160, 160, 159, 156, 153, 150, 146, 143, 133, 128, 118, 115, 111, 103,
+            101]
+        assert [r.n_false_stop for r in res] == [
+            256, 256, 256, 256, 256, 256, 256, 255, 255, 255, 255, 254, 254, 252, 252, 252, 251,
+            250, 245, 241, 236, 232, 223, 213, 197, 176, 157, 142, 132, 117, 107, 94, 90, 81, 72,
+            67, 62, 59, 56, 55, 56, 51, 51, 50, 47, 45, 42, 37, 37, 36, 34, 30, 30, 29, 26, 26,
+            24, 24, 23, 23]
+        assert [r.n_fa_stop for r in res] == [
+            256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256,
+            256, 256, 256, 256, 256, 255, 252, 240, 217, 191, 156, 127, 97, 84, 69, 47, 36, 30,
+            22, 18, 10, 5, 4, 3, 2, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+
+
+@pytest.fixture(scope="module")
+def shared_sweep():
+    """One code-first W = 1000 Hz, M = 0 sweep that serves the detection and
+    false-alarm checks below, by threshold."""
+    return {r.beta: r for r in monte_carlo_sweep(_wave_config(8000, 21), [9.0, 11.0, 12.0])}
+
 
 class TestWaveformStatistics:
-    def test_detection_matches_metric_level_distribution(self):
+    def test_detection_matches_metric_level_distribution(self, shared_sweep):
         # both fidelities sample the same stopped-search functional; compare
         # their estimates rather than either against a model
         betas = np.array([9.0, 11.0])
-        wave = monte_carlo_sweep(_wave_config(8000, 21), betas)
         metric = monte_carlo_sweep(
             SimConfig(trials=40000, seed=22, fidelity=Fidelity.METRIC_LEVEL,
                       params=PARAMS, grid=GRID,
                       policy=SearchPolicy(SearchOrder.CODE_PHASE_FIRST, 0)), betas)
-        for w, m in zip(wave, metric):
+        for m in metric:
+            w = shared_sweep[m.beta]
             se = math.sqrt(w.p_det * (1 - w.p_det) / w.trials
                            + m.p_det * (1 - m.p_det) / m.trials)
             assert abs(w.p_det - m.p_det) < 4.0 * max(se, 1e-4), w.beta
 
-    def test_detection_matches_exact_analytic(self):
-        betas = np.array([9.0, 12.0])
-        for r in monte_carlo_sweep(_wave_config(8000, 31), betas):
+    def test_detection_matches_exact_analytic(self, shared_sweep):
+        for beta in (9.0, 12.0):
+            r = shared_sweep[beta]
             pol = SearchPolicy(SearchOrder.CODE_PHASE_FIRST, 0, r.beta)
             pd = global_pdet_code_first_exact(PARAMS, GRID, pol, N)
             se = math.sqrt(max(pd * (1 - pd), 1e-12) / r.trials)
             assert abs(r.p_det - pd) < 4.0 * se, r.beta
 
-    def test_false_alarm_shows_cross_correlation_leakage(self):
-        # the false-alarm run still carries a PRN 1 transmission while the
-        # receiver despreads with PRN 5; Gold-code cross-correlation (up to
+    def test_false_alarm_shows_cross_correlation_leakage(self, shared_sweep):
+        # the false-alarm search despreads the detection samples, PRN 1
+        # signal and noise, with PRN 5; Gold-code cross-correlation (up to
         # 65/1023) adds a little non-centrality to a quarter of the cells,
         # so the stop rate must sit slightly above the noise-only closed form
         beta = 9.0
-        res = monte_carlo_sweep(_wave_config(6000, 41), np.array([beta]))[0]
+        res = shared_sweep[beta]
         noise_only = global_pfa(cell_pfa(beta), N, GRID.num_bins)
         se = math.sqrt(noise_only * (1 - noise_only) / res.trials)
         assert res.p_fa > noise_only + 2.0 * se
@@ -359,16 +349,3 @@ class TestWaveformStatistics:
         a = monte_carlo_sweep(_wave_config(512, 77), betas, workers=1)
         b = monte_carlo_sweep(_wave_config(512, 77), betas, workers=3)
         assert a == b
-
-
-class TestRealIfStatistics:
-    def test_detection_consistent_with_exact_analytic(self):
-        # coarse check that the high-rate real-IF path carries the right
-        # units end to end
-        wf = WaveformConfig(f_s=4.092e6, f_if=1.023e6)
-        beta = 10.0
-        res = monte_carlo_sweep(_wave_config(1200, 51, waveform=wf), np.array([beta]))[0]
-        pol = SearchPolicy(SearchOrder.CODE_PHASE_FIRST, 0, beta)
-        pd = global_pdet_code_first_exact(PARAMS, GRID, pol, N)
-        se = math.sqrt(max(pd * (1 - pd), 1e-12) / res.trials)
-        assert abs(res.p_det - pd) < 5.0 * se
