@@ -20,7 +20,8 @@ A bin at offset l from the correct one sees a residual Doppler uniform on
 L_max sinc^2(df T_per).  Global detection formulas take either the
 per-offset expected L (fast, slightly biased where sinc^2 curves strongly
 across a bin) or the exact marginalization over the residual Doppler by
-quadrature.
+quadrature.  One engine gives every expected-L global column over a whole
+threshold grid; the per-threshold functions run it on a grid of one.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .numerics import (
     marcum_q1,
     one_minus_pow_complement,
     one_minus_pow_ratio,
-    sinc,
     sine_integral,
 )
 
@@ -276,7 +276,7 @@ def _residual_doppler_mean(params: SignalParams, grid: DopplerGrid, beta,
     at = np.searchsorted(signed, offsets)
 
     def f(xs: np.ndarray) -> np.ndarray:
-        pos = cell_pdet(lm * sinc(xs[xs.size // 2:, None] - signed * wt) ** 2, betas)
+        pos = cell_pdet(lm * np.sinc(xs[xs.size // 2:, None] - signed * wt) ** 2, betas)
         # nodes -x are nodes x at -s; take lays pdet out C-ordered like a full-node call
         pdet = np.take(np.concatenate((pos[..., ::-1, ::-1], pos), axis=-2), at, axis=-1)
         return np.moveaxis(pdet, -2, -1) if reduce is None else reduce(pdet)
@@ -304,30 +304,17 @@ def global_pfa(pfa_cell: float, n: int, k: int) -> float:
     return one_minus_pow_complement(pfa_cell, n * k)
 
 
-def global_pdet_naive(l_correct: float, beta: float, n: int, k: int) -> float:
-    """Single-signal-cell model: the search detects iff the first crossing
-    is the one correct cell, all K*N cell positions equally likely."""
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be >= 1")
-    return _naive_value(cell_pdet(l_correct, beta), cell_pfa(beta), n, k)
-
-
-def _naive_value(pdet: float, pfa: float, n: int, k: int) -> float:
-    nk = n * k
-    return as_probability(one_minus_pow_ratio(pfa, nk) / nk * pdet)
-
-
-def _signed_pdet(pdet: np.ndarray, pfa: float, k: int) -> np.ndarray:
+def _signed_pdet(pdet: np.ndarray, pfa, k: int) -> np.ndarray:
     """P_det of the bins at signed offsets -(k-1)..k-1 (index s + k - 1)
     from the correct one, given P_det at -near..near (near < k) in the last
-    axis of pdet; bins further out see noise only."""
+    axis of pdet; bins further out see noise only, at pfa."""
     near = pdet.shape[-1] // 2
     out = np.full(pdet.shape[:-1] + (2 * k - 1,), pfa)
     out[..., k - 1 - near:k + near] = pdet
     return out
 
 
-def _accept_sum(pdet: np.ndarray, bin_noise_factor: float, k: int, m: int):
+def _accept_sum(pdet: np.ndarray, bin_noise_factor, k: int, m: int):
     """Sum over accepted stop offsets q of P_det(L_q) times the probability
     that no earlier-searched bin fired.
 
@@ -373,44 +360,63 @@ def _check_global_args(k: int, m: int, n: int | None = None, l_max: int = 0) -> 
         raise ValueError("l_max must be a non-negative integer")
 
 
-def _code_first_value(pdet: np.ndarray, pfa: float, n: int, k: int, m: int):
+# Per-threshold factors are math arithmetic on Python floats: numpy's
+# log1p, expm1 and power can differ from math's by an ulp.
+def _code_first_value(pdet: np.ndarray, pfa, n: int, k: int, m: int):
+    """Code-first global P_det from pdet as _accept_sum takes it; pfa is the
+    cell P_fa, a float or one per row of a 2-D pdet."""
     # stop-bin factor: reach the signal cell through its bin's earlier noise
     # cells, averaged over the N positions of the correct phase
-    reach = one_minus_pow_ratio(pfa, n) / n
-    quiet_noise = (1.0 - pfa) ** (n - 1)
-    return reach / k * _accept_sum(pdet, quiet_noise, k, m)
+    reach, quiet_noise = np.array([(one_minus_pow_ratio(p, n) / n, (1.0 - p) ** (n - 1))
+                                   for p in np.atleast_1d(pfa).tolist()]).T
+    return reach / k * _accept_sum(pdet, quiet_noise[:, None], k, m)
 
 
-def _doppler_first_value(accept, pfa: float, n: int, k: int):
-    """accept is _accept_sum(pdet, 1.0, k, m), as in the approximation."""
-    num = one_minus_pow_complement(pfa, k * n)
-    den = one_minus_pow_complement(pfa, k)
-    reach = float(n) if den == 0.0 else num / den
-    return reach / (n * k) * accept
+def _global_columns(pd: np.ndarray, pfa: np.ndarray, n: int, k: int, m: int):
+    """Every closed-form global column over a threshold grid: from pd[j, l],
+    the cell P_det at offset l = 0, 1, ... for threshold j (noise only
+    further out), and pfa[j], its cell P_fa, the arrays over j of
+    p_fa_global, p_det_naive, p_det_code_first, p_det_doppler_first and
+    p_det_approx."""
+    near = min(pd.shape[-1] - 1, k - 1)
+    signed = _signed_pdet(pd[:, np.abs(np.arange(-near, near + 1))], pfa[:, None], k)
+    accept = _accept_sum(signed, 1.0, k, m)
+    nk = n * k
+
+    def factors(p: float) -> tuple[float, float, float]:
+        # doppler-first reach: whole noise columns before the correct phase
+        num, den = global_pfa(p, n, k), global_pfa(p, 1, k)
+        return num, one_minus_pow_ratio(p, nk) / nk, (float(n) if den == 0.0 else num / den) / nk
+
+    pfa_global, naive, doppler = np.array([factors(p) for p in pfa.tolist()]).T
+    return (pfa_global, *as_probability(np.stack((
+        naive * pd[:, 0], _code_first_value(signed, pfa, n, k, m), doppler * accept, accept / k))))
 
 
-def _profile_pdet(pdet: np.ndarray, pfa: float, k: int) -> np.ndarray:
-    """_signed_pdet from pdet[l], P_det at offset l = 0, 1, ...; noise only further out."""
-    near = min(pdet.size - 1, k - 1)
-    return _signed_pdet(pdet[np.abs(np.arange(-near, near + 1))], pfa, k)
+def _global_at(profile: NonCentralityProfile, policy: SearchPolicy,
+               n: int, k: int) -> tuple[float, ...]:
+    """_global_columns at the one threshold of policy."""
+    beta = policy.require_threshold()
+    _check_global_args(k, policy.accept_half_width, n)
+    pd = cell_pdet(np.array(profile.values), beta)
+    columns = _global_columns(pd[None], np.array([cell_pfa(beta)]), n, k, policy.accept_half_width)
+    return tuple(float(c[0]) for c in columns)
 
 
-def _global_pdet(order: SearchOrder, pd: np.ndarray, pfa: float, n: int, k: int, m: int) -> float:
-    """Closed-form global P_det in `order` from pd as _profile_pdet takes it."""
-    signed = _profile_pdet(pd, pfa, k)
-    if order is SearchOrder.CODE_PHASE_FIRST:
-        return as_probability(_code_first_value(signed, pfa, n, k, m))
-    return as_probability(_doppler_first_value(_accept_sum(signed, 1.0, k, m), pfa, n, k))
+def global_pdet_naive(l_correct: float, beta: float, n: int, k: int) -> float:
+    """Single-signal-cell model: the search detects iff the first crossing
+    is the one correct cell, all K*N cell positions equally likely."""
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be >= 1")
+    policy = SearchPolicy(SearchOrder.CODE_PHASE_FIRST, 0, beta)
+    return _global_at(NonCentralityProfile((l_correct,)), policy, n, k)[1]
 
 
 def global_pdet_code_first(profile: NonCentralityProfile, policy: SearchPolicy,
                            n: int, k: int) -> float:
     """Global detection probability when each Doppler bin is searched over
     all code phases before moving to the next bin."""
-    beta = policy.require_threshold()
-    _check_global_args(k, policy.accept_half_width, n)
-    return _global_pdet(SearchOrder.CODE_PHASE_FIRST, cell_pdet(np.array(profile.values), beta),
-                        cell_pfa(beta), n, k, policy.accept_half_width)
+    return _global_at(profile, policy, n, k)[2]
 
 
 def global_pdet_doppler_first(profile: NonCentralityProfile, policy: SearchPolicy,
@@ -422,21 +428,14 @@ def global_pdet_doppler_first(profile: NonCentralityProfile, policy: SearchPolic
     cells; within the correct column only signal-cell misses separate the
     start of the column from the stop bin.
     """
-    beta = policy.require_threshold()
-    _check_global_args(k, policy.accept_half_width, n)
-    return _global_pdet(SearchOrder.DOPPLER_FIRST, cell_pdet(np.array(profile.values), beta),
-                        cell_pfa(beta), n, k, policy.accept_half_width)
+    return _global_at(profile, policy, n, k)[3]
 
 
 def global_pdet_approx(profile: NonCentralityProfile, policy: SearchPolicy,
                        k: int) -> float:
     """Search-order-free approximation: valid when K N P_fa << 1, i.e. false
     alarms are rare enough that only signal-cell misses matter."""
-    beta = policy.require_threshold()
-    m = policy.accept_half_width
-    _check_global_args(k, m)
-    pdet = _profile_pdet(cell_pdet(np.array(profile.values), beta), cell_pfa(beta), k)
-    return as_probability(_accept_sum(pdet, 1.0, k, m) / k)
+    return _global_at(profile, policy, 1, k)[4]
 
 
 def global_pdet_code_first_exact(params: SignalParams, grid: DopplerGrid,
@@ -504,8 +503,8 @@ def roc_curve(params: SignalParams, grid: DopplerGrid, policy: SearchPolicy,
     quadrature variants); global columns use the profile truncated at l_max.
     The threshold of `policy` is ignored; each point gets its own.  One
     evaluator call gives the expected-L cell P_det at every threshold, which
-    serves the cell columns and every global column, and one residual-Doppler
-    quadrature gives every exact column.
+    serves the cell columns and one engine call for every global column; one
+    residual-Doppler quadrature gives every exact column.
     """
     betas = _beta_array(betas)
     k = grid.num_bins
@@ -514,17 +513,8 @@ def roc_curve(params: SignalParams, grid: DopplerGrid, policy: SearchPolicy,
     ls = np.array([expected_noncentrality(params, grid, l) for l in range(max(3, l_max + 1))])
     pds = cell_pdet(ls, betas[:, None])
     exacts = as_probability(_residual_doppler_mean(params, grid, betas, np.arange(3)))
-    n = n_phases
-    points = []
-    for b, pd, exact in zip(betas.tolist(), pds, exacts.tolist()):
-        pfa = cell_pfa(b)
-        signed = _profile_pdet(pd[:l_max + 1], pfa, k)
-        accept = _accept_sum(signed, 1.0, k, m)
-        # positional, in the column order of RocPoint
-        points.append(RocPoint(
-            grid.bin_width_hz, m, b, pfa, *pd[:3].tolist(), *exact,
-            global_pfa(pfa, n, k), _naive_value(float(pd[0]), pfa, n, k),
-            as_probability(_code_first_value(signed, pfa, n, k, m)),
-            as_probability(_doppler_first_value(accept, pfa, n, k)),
-            as_probability(accept / k)))
-    return tuple(points)
+    pfas = np.array([cell_pfa(b) for b in betas.tolist()])
+    # positional, in the column order of RocPoint
+    return tuple(RocPoint(grid.bin_width_hz, m, *row) for row in zip(
+        betas.tolist(), pfas.tolist(), *pds[:, :3].T.tolist(), *exacts.T.tolist(),
+        *(c.tolist() for c in _global_columns(pds[:, :l_max + 1], pfas, n_phases, k, m))))

@@ -1,7 +1,7 @@
 """Special functions and numerically stable primitives.
 
-Every probability computed by this package bottoms out in four primitives:
-the normalized sinc, the sine integral Si, the first-order Marcum
+Every probability computed by this package bottoms out in numpy's sinc
+and three primitives here: the sine integral Si, the first-order Marcum
 Q-function, and complement expressions of the form 1 - (1-p)^n.  Their
 series, continued fractions and windows are sized so callers can treat the
 results as exact at the 1e-12 level.
@@ -31,7 +31,6 @@ import numpy as np
 __all__ = [
     "ConvergenceError",
     "ProbabilityRangeError",
-    "sinc",
     "sine_integral",
     "marcum_q1",
     "one_minus_pow_complement",
@@ -67,17 +66,6 @@ def as_probability(x, slack: float = _PROB_SLACK):
     if x.size and not (x.min() >= -slack and x.max() <= 1.0 + slack):
         raise ProbabilityRangeError(f"values in [{x.min()}, {x.max()}] are not all probabilities")
     return np.minimum(np.maximum(x, 0.0), 1.0)
-
-
-def sinc(x):
-    """Normalized sinc sin(pi x)/(pi x) with the removable singularity at 0.
-
-    Scalar in, float out; array in, ndarray out.
-    """
-    out = np.sinc(x)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
 
 
 # --- sine integral -----------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from .analytic import NonCentralityProfile, SearchOrder, cell_pdet, cell_pfa
 
-__all__ = ["stop_distribution", "averaged_detection"]
+__all__ = ["averaged_detection"]
 
 _MAX_STACK_CELLS = 1 << 20
 
@@ -37,17 +37,6 @@ def _stop_probs(probs: np.ndarray, order: SearchOrder) -> tuple[np.ndarray, np.n
     stop[..., 1:] *= survive[..., :-1]
     stop = stop.reshape(visit.shape)
     return (stop if visit is probs else stop.swapaxes(-1, -2)), survive[..., -1]
-
-
-def stop_distribution(probs: np.ndarray, order: SearchOrder) -> tuple[np.ndarray, float]:
-    """(stop, no_stop) for per-cell crossing probabilities, K bins by N
-    phases: the stop probability per cell, shaped like probs, and the
-    no-stop probability; all K*N + 1 outcomes sum to 1."""
-    if probs.ndim != 2 or probs.size == 0:
-        raise ValueError("probs must be a K x N matrix with K, N >= 1")
-    _check_probs(probs)
-    stop, no_stop = _stop_probs(probs, order)
-    return stop, float(no_stop)
 
 
 def averaged_detection(profile: NonCentralityProfile, beta: float, k: int, n: int,

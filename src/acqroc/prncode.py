@@ -1,4 +1,4 @@
-"""GPS L1 C/A Gold-code generation and circular correlation.
+"""GPS L1 C/A Gold-code generation.
 
 Codes are produced by the standard two-LFSR construction: G1 with feedback
 polynomial 1 + x^3 + x^10 and G2 with 1 + x^2 + x^3 + x^6 + x^8 + x^9 + x^10,
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CODE_LENGTH", "CaCode", "generate_ca_code", "circular_correlation"]
+__all__ = ["CODE_LENGTH", "CaCode", "generate_ca_code"]
 
 CODE_LENGTH = 1023
 
@@ -67,13 +67,3 @@ def generate_ca_code(prn: int) -> CaCode:
     code = CaCode(prn=prn, chips=chips)
     _CODE_CACHE[prn] = code
     return code
-
-
-def circular_correlation(a, b, lag: int) -> float:
-    """(1/N) sum_n a[n] * b[(n - lag) mod N] for equal-length sequences."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape or av.ndim != 1:
-        raise ValueError("sequences must be 1-d and of equal length")
-    n = av.size
-    return float(np.dot(av, np.roll(bv, int(lag) % n))) / n

@@ -25,7 +25,7 @@ from .analytic import (
     NonCentralityProfile,
     SearchOrder,
     SearchPolicy,
-    _global_pdet,
+    _global_columns,
     cell_pdet,
     cell_pfa,
     expected_noncentrality,
@@ -77,8 +77,9 @@ def _check_oracle_equivalence(rng: np.random.Generator, instances: int) -> Check
         profile = NonCentralityProfile(tuple(rng.uniform(0.0, 30.0, depth)))
         beta = -math.log(10.0 ** rng.uniform(-6.0, math.log10(0.9)))
         pfa, pdet = cell_pfa(beta), _offset_pdet(profile, beta, k)
-        for order in (SearchOrder.CODE_PHASE_FIRST, SearchOrder.DOPPLER_FIRST):
-            a = _global_pdet(order, pdet, pfa, n, k, m)
+        _, _, code_first, doppler_first, _ = _global_columns(pdet[None], np.array([pfa]), n, k, m)
+        for order, a in ((SearchOrder.CODE_PHASE_FIRST, float(code_first[0])),
+                         (SearchOrder.DOPPLER_FIRST, float(doppler_first[0]))):
             o = _averaged_detection(pdet, pfa, n, m, order)
             if abs(a - o) > worst:
                 worst = abs(a - o)

@@ -9,7 +9,8 @@ setup) and walks the cells in visiting order until one crosses beta, so the
 outcome follows from the definition of the search rather than from the
 segment-maxima bookkeeping that monte_carlo_sweep replays.  replay_records
 walks recorded segment maxima the same way, one threshold at a time, as the
-reference for the batched interval counting.
+reference for the batched interval counting; offset_mean_z reads the
+recorded correct-phase metrics by offset from the correct bin.
 """
 
 from dataclasses import dataclass
@@ -121,6 +122,16 @@ def replay_records(rec, order: SearchOrder, betas: np.ndarray,
             if stop[1]:
                 det[stop[0] - cb + k - 1, j] += 1
     return det, stops
+
+
+def offset_mean_z(rec, l: int, want: float) -> float:
+    """z-score against want of the mean recorded correct-phase metric over
+    the bins at offset +-l from the correct one.  The standard error is
+    clustered by trial: a trial's two bins at +-l share its residual Doppler."""
+    at = np.abs(np.arange(rec.sig.shape[1])[None, :] - rec.cb[:, None]) == l
+    s, c = np.where(at, rec.sig, 0.0).sum(axis=1), at.sum(axis=1)
+    mean = s.sum() / c.sum()
+    return float((mean - want) * c.sum() / np.sqrt(np.sum((s - mean * c) ** 2)))
 
 
 def averaged_detection_serial(profile: NonCentralityProfile, beta: float, k: int, n: int,

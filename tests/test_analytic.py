@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+import acqroc.analytic as analytic
 from acqroc.analytic import (
     DopplerGrid,
     NonCentralityProfile,
@@ -31,7 +32,8 @@ from acqroc.analytic import (
 )
 from acqroc.analytic import (
     _code_first_value, _integrate_mean, _leggauss, _residual_doppler_mean, _signed_pdet)
-from acqroc.numerics import sinc
+
+import closed_form_reference as ref
 
 PARAMS = SignalParams(cn0_dbhz=40.0, t_per=1e-3)
 N = 1023
@@ -202,7 +204,7 @@ def _full_node_mean(params, grid, beta, offsets, reduce=None):
         betas = betas[..., None, None]
 
     def f(xs):
-        pdet = cell_pdet(lm * sinc(xs[:, None] - offsets * wt) ** 2, betas)
+        pdet = cell_pdet(lm * np.sinc(xs[:, None] - offsets * wt) ** 2, betas)
         return np.moveaxis(pdet, -2, -1) if reduce is None else reduce(pdet)
 
     return _integrate_mean(f, wt / 2.0)
@@ -337,6 +339,83 @@ class TestExactGlobal:
         a = global_pdet_code_first_exact(PARAMS, grid, pol, N)
         b = global_pdet_code_first(prof, pol, N, grid.num_bins)
         assert a == pytest.approx(b, abs=2e-4)
+
+
+def _engine_cases(rng, count):
+    """(params, grid, M, lmax, beta grid, N) led by the K = 1, M = K - 1,
+    lmax = 0 and lmax >= K corners; K runs to 60, lmax to 6 and N to 1099,
+    and a grid may reach beta = 0 (cell P_fa 1) and beta = 760 (cell P_fa 0)."""
+    corners = [(1, 0, 0), (4, 3, 2), (6, 1, 0), (3, 2, 5)]  # (K, M, lmax)
+    out = []
+    for i in range(count):
+        k = corners[i][0] if i < len(corners) else int(
+            rng.integers(1, 9) if rng.random() < 0.9 else rng.integers(9, 61))
+        m, l_max = corners[i][1:] if i < len(corners) else (
+            int(rng.integers(0, min(k, 4))), int(rng.integers(0, min(k + 3, 7))))
+        width = float(rng.uniform(100.0, 1500.0))
+        grid = DopplerGrid(width, k * width / 2.0, 1e-3)
+        assert grid.num_bins == k
+        betas = rng.uniform(0.0, 40.0, int(rng.integers(1, 6)))
+        edge = rng.random()
+        betas = np.unique(np.append(betas, 0.0 if edge < 0.05 else 760.0 if edge < 0.1 else []))
+        params = SignalParams(float(rng.uniform(25.0, 45.0)), 1e-3)
+        out.append((params, grid, m, l_max, betas, int(rng.integers(1, 1100))))
+    return out
+
+
+def _quadrature_stand_in(params, grid, beta, offsets, reduce=None):
+    """In place of _residual_doppler_mean: a P_det with a distinct value per
+    (threshold, node, offset) on eight nodes, through reduce and averaged
+    over the nodes as the quadrature does."""
+    nodes = np.linspace(0.0, 1.0, 8)[:, None]
+    pdet = np.exp(-np.asarray(beta)[..., None, None] / (1.0 + np.abs(offsets) + nodes))
+    return (np.moveaxis(pdet, -2, -1) if reduce is None else reduce(pdet)).mean(axis=-1)
+
+
+class TestEngineMatchesPerBetaReference:
+    """The array engine against the per-threshold helpers it replaced
+    (closed_form_reference), compared with == on floats.  Both sides reach
+    the residual-Doppler quadrature through the module, so the first two
+    tests swap in a cheap stand-in for it (TestHalfNodeQuadrature and
+    TestExactGlobal hold the quadrature itself); the last one keeps it."""
+
+    CASES = _engine_cases(np.random.default_rng(2626), 200)
+
+    def test_roc_curve(self, monkeypatch):
+        monkeypatch.setattr(analytic, "_residual_doppler_mean", _quadrature_stand_in)
+        for params, grid, m, l_max, betas, n in self.CASES:
+            policy = SearchPolicy(SearchOrder.CODE_PHASE_FIRST, m)
+            want = ref.roc_curve(params, grid, m, betas, n, l_max)
+            assert roc_curve(params, grid, policy, betas, n, l_max) == want, (grid, m, l_max, n)
+
+    def test_public_closed_forms(self, monkeypatch):
+        monkeypatch.setattr(analytic, "_residual_doppler_mean", _quadrature_stand_in)
+        rng = np.random.default_rng(2627)
+        for params, grid, m, l_max, betas, n in self.CASES:
+            k = grid.num_bins
+            values = rng.uniform(0.0, 30.0, l_max + 1) * (rng.random(l_max + 1) < 0.8)
+            profile = NonCentralityProfile(tuple(values.tolist()))
+            # the grid's ends, so beta = 760 reaches the expected-L forms and
+            # beta = 0 the exact one
+            b = float(betas[-1])
+            cf = SearchPolicy(SearchOrder.CODE_PHASE_FIRST, m, b)
+            df = SearchPolicy(SearchOrder.DOPPLER_FIRST, m, b)
+            got = (global_pdet_naive(profile.values[0], b, n, k),
+                   global_pdet_code_first(profile, cf, n, k),
+                   global_pdet_doppler_first(profile, df, n, k),
+                   global_pdet_approx(profile, cf, k))
+            assert got == ref.closed_forms(profile, b, n, k, m), (k, m, l_max, n, b)
+            b = float(betas[0])
+            want = ref.code_first_exact(params, grid, b, n, m, l_max)
+            assert global_pdet_code_first_exact(
+                params, grid, SearchPolicy(SearchOrder.CODE_PHASE_FIRST, m, b), n, l_max) == want
+
+    def test_exact_form_through_the_quadrature(self):
+        for params, grid, m, l_max, betas, n in self.CASES[:20]:
+            b = float(betas[0])
+            want = ref.code_first_exact(params, grid, b, n, m, l_max)
+            assert global_pdet_code_first_exact(
+                params, grid, SearchPolicy(SearchOrder.CODE_PHASE_FIRST, m, b), n, l_max) == want
 
 
 class TestBetaGridAndRoc:

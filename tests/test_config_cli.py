@@ -1,6 +1,7 @@
 """Config schema strictness and CLI end-to-end behavior."""
 
 import csv
+import hashlib
 import json
 import os
 import re
@@ -26,6 +27,16 @@ SMALL = {
     "beta_grid": {"min_pfa": 1e-4, "max_pfa": 0.3, "points": 4},
     "trials": 400,
     "seed": 3,
+}
+
+
+# the README standard config, and the sha256 of its analytic outputs at the
+# default seed: the cell-probs and roc tables and the validate report
+STANDARD = {"cn0_dbhz": 40, "tper_ms": 1, "m_by_width": {"200": 2, "500": 1}}
+STANDARD_SHA256 = {
+    "cell-probs": "774450c9d61b517fcc67b847fc55dd2cf2cd9d0c0ae3f1c738ee69a2f137e46c",
+    "roc": "06f6d25edda6feb6dd256ba863769573f4bd40a672f32c3cb03130884854e9ee",
+    "validate": "6e183efdd36f5d69ece42059bb926e0f63bc55807b810fa46522a2118fb2c037",
 }
 
 
@@ -315,6 +326,18 @@ class TestCli:
         assert "[KNOWN_GAP]" in out          # W = 500 adjacent-bin model gap
         assert "[FAIL" not in out
         assert "validate: OK" in out
+
+    def test_standard_config_analytic_outputs_are_pinned(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, STANDARD)
+        got = {}
+        for command in ("cell-probs", "roc"):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            got[command] = hashlib.sha256(out.read_bytes()).hexdigest()
+        capsys.readouterr()
+        assert main(["validate", "--config", cfg]) == 0
+        got["validate"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert got == STANDARD_SHA256
 
     def test_config_error_exits_two(self, tmp_path, capsys):
         bad = write_config(tmp_path, {"bogus": 1})

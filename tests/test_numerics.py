@@ -21,7 +21,6 @@ from acqroc.numerics import (
     marcum_q1,
     one_minus_pow_complement,
     one_minus_pow_ratio,
-    sinc,
     sine_integral,
 )
 
@@ -88,15 +87,6 @@ class TestSineIntegral:
             sine_integral(math.nan)
         with pytest.raises(ValueError):
             sine_integral(math.inf)
-
-
-class TestSinc:
-    def test_matches_definition(self):
-        xs = np.array([-2.5, -1.0, -0.3, 0.0, 0.3, 1.0, 2.5])
-        want = np.where(xs == 0.0, 1.0, np.sin(np.pi * xs) / np.where(xs == 0.0, 1.0, np.pi * xs))
-        np.testing.assert_allclose(sinc(xs), want, rtol=0, atol=1e-15)
-        assert sinc(0.0) == 1.0
-        assert isinstance(sinc(0.25), float)
 
 
 class TestMarcumQ1:

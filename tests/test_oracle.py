@@ -21,14 +21,14 @@ from acqroc.analytic import (
     global_pdet_doppler_first,
     global_pdet_naive,
 )
-from acqroc.oracle import averaged_detection, stop_distribution
+from acqroc.oracle import _stop_probs, averaged_detection
 from single_trial import averaged_detection_serial
 
 
 class TestStopDistribution:
     def test_hand_worked_2x2_code_first(self):
         probs = np.array([[0.5, 0.25], [0.125, 0.0625]])
-        stop, no_stop = stop_distribution(probs, SearchOrder.CODE_PHASE_FIRST)
+        stop, no_stop = _stop_probs(probs, SearchOrder.CODE_PHASE_FIRST)
         # visit order (b0,p0), (b0,p1), (b1,p0), (b1,p1)
         want = np.array([[0.5, 0.125], [0.046875, 0.0205078125]])
         np.testing.assert_allclose(stop, want, rtol=0, atol=0)
@@ -36,7 +36,7 @@ class TestStopDistribution:
 
     def test_hand_worked_2x2_doppler_first(self):
         probs = np.array([[0.5, 0.25], [0.125, 0.0625]])
-        stop, no_stop = stop_distribution(probs, SearchOrder.DOPPLER_FIRST)
+        stop, no_stop = _stop_probs(probs, SearchOrder.DOPPLER_FIRST)
         # visit order (b0,p0), (b1,p0), (b0,p1), (b1,p1)
         want = np.array([[0.5, 0.109375], [0.0625, 0.0205078125]])
         np.testing.assert_allclose(stop, want, rtol=0, atol=0)
@@ -45,14 +45,14 @@ class TestStopDistribution:
     def test_single_cell(self):
         probs = np.array([[0.3]])
         for order in SearchOrder:
-            stop, no_stop = stop_distribution(probs, order)
+            stop, no_stop = _stop_probs(probs, order)
             assert stop[0, 0] == 0.3
             assert no_stop == 0.7
 
     def test_all_equal_probabilities_are_geometric(self):
         p = 0.2
         probs = np.full((3, 4), p)
-        stop, no_stop = stop_distribution(probs, SearchOrder.CODE_PHASE_FIRST)
+        stop, no_stop = _stop_probs(probs, SearchOrder.CODE_PHASE_FIRST)
         flat = stop.reshape(-1)
         want = p * (1.0 - p) ** np.arange(12)
         np.testing.assert_allclose(flat, want, rtol=1e-15)
@@ -65,26 +65,19 @@ class TestStopDistribution:
             n = int(rng.integers(1, 9))
             probs = rng.random((k, n))
             for order in SearchOrder:
-                stop, no_stop = stop_distribution(probs, order)
+                stop, no_stop = _stop_probs(probs, order)
                 assert abs(stop.sum() + no_stop - 1.0) < 1e-14
 
     def test_no_stop_ignores_visit_order(self):
         rng = np.random.default_rng(3)
         probs = rng.random((4, 5))
-        _, a = stop_distribution(probs, SearchOrder.CODE_PHASE_FIRST)
-        _, b = stop_distribution(probs, SearchOrder.DOPPLER_FIRST)
+        _, a = _stop_probs(probs, SearchOrder.CODE_PHASE_FIRST)
+        _, b = _stop_probs(probs, SearchOrder.DOPPLER_FIRST)
         shuffled = probs.reshape(-1).copy()
         rng.shuffle(shuffled)
-        _, c = stop_distribution(shuffled.reshape(4, 5), SearchOrder.CODE_PHASE_FIRST)
+        _, c = _stop_probs(shuffled.reshape(4, 5), SearchOrder.CODE_PHASE_FIRST)
         assert a == pytest.approx(b, abs=1e-16)
         assert a == pytest.approx(c, rel=1e-13)
-
-    def test_grid_validation(self):
-        for order in SearchOrder:
-            with pytest.raises(ValueError):
-                stop_distribution(np.array([0.5, 0.5]), order)
-            with pytest.raises(ValueError):
-                stop_distribution(np.array([[1.5]]), order)
 
 
 class TestAveragedDetection:
@@ -208,6 +201,7 @@ class TestValidateOracleCheck:
             return validate._check_oracle_equivalence(rng, instances=6).status
 
         assert check() is validate.CheckStatus.PASS
-        engine = validate._global_pdet
-        monkeypatch.setattr(validate, "_global_pdet", lambda *args: engine(*args) + 1e-9)
+        engine = validate._global_columns
+        monkeypatch.setattr(validate, "_global_columns",
+                            lambda *args: tuple(c + 1e-9 for c in engine(*args)))
         assert check() is validate.CheckStatus.FAIL

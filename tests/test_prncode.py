@@ -8,7 +8,7 @@ table, instead of the two-tap phase selector the implementation uses.
 import numpy as np
 import pytest
 
-from acqroc.prncode import CODE_LENGTH, CaCode, circular_correlation, generate_ca_code
+from acqroc.prncode import CODE_LENGTH, CaCode, generate_ca_code
 
 # published delay (chips) of the G2 sequence per PRN 1..32
 G2_DELAYS = [
@@ -19,6 +19,16 @@ G2_DELAYS = [
 
 # first ten chips as an octal number (1 maps to the bit 1), standard table
 FIRST_TEN_OCTAL = {1: 0o1440, 5: 0o1133}
+
+
+def circular_correlation(a, b, lag: int) -> float:
+    """(1/N) sum_n a[n] * b[(n - lag) mod N] for equal-length sequences."""
+    av = np.asarray(a, dtype=np.float64)
+    bv = np.asarray(b, dtype=np.float64)
+    if av.shape != bv.shape or av.ndim != 1:
+        raise ValueError("sequences must be 1-d and of equal length")
+    n = av.size
+    return float(np.dot(av, np.roll(bv, int(lag) % n))) / n
 
 
 def _lfsr_sequence(taps):

@@ -16,6 +16,7 @@ from acqroc.analytic import (
     cell_pdet,
     cell_pfa,
     default_beta_grid,
+    expected_noncentrality,
     global_pdet_code_first_exact,
     global_pdet_doppler_first,
     global_pfa,
@@ -33,7 +34,7 @@ from acqroc.simulator import (
     monte_carlo_sweep,
     wilson_interval,
 )
-from single_trial import Classification, replay_records, run_metric_trial
+from single_trial import Classification, offset_mean_z, replay_records, run_metric_trial
 
 PARAMS = SignalParams(cn0_dbhz=40.0, t_per=1e-3)
 N = CODE_LENGTH
@@ -162,6 +163,18 @@ class TestMetricUnits:
         lvals = _realized_l(PARAMS, cfg.grid, cfg.l_max, cb, df0)[band]
         se = math.sqrt(np.sum(1.0 + lvals)) / lvals.size
         assert abs(rec.sig[band].mean() - np.mean(1.0 + lvals / 2.0)) < 4.0 * se
+
+    def test_mean_by_offset_is_the_truncated_expected_noncentrality(self):
+        # the paper's quantity: the mean correct-phase metric at offset l is
+        # 1 + E[L_l]/2 within the +-lmax band and 1 beyond it, where the
+        # metric level draws noise only.  At W = 200 Hz the untruncated
+        # 1 + E[L_3]/2 sits at z = -463 at l = 3: that gap is the metric
+        # level's lmax truncation, not noise
+        cfg, nb = _config(width=200.0), 16384
+        rec = _record_metric_batch(np.random.Generator(np.random.SFC64(26)), nb, cfg)
+        for l in range(5):
+            el = expected_noncentrality(PARAMS, cfg.grid, l) if l <= cfg.l_max else 0.0
+            assert abs(offset_mean_z(rec, l, 1.0 + el / 2.0)) <= 4.0, l
 
 
 class TestSingleTrial:

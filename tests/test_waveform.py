@@ -14,6 +14,7 @@ from acqroc.analytic import (
     SignalParams,
     cell_pfa,
     default_beta_grid,
+    expected_noncentrality,
     global_pdet_code_first_exact,
     global_pfa,
     l_max_param,
@@ -24,6 +25,7 @@ from acqroc.simulator import (
     SimConfig,
     _code_periods,
     _correlate_all_phases,
+    _record_waveform_batch,
     _search_spectrum,
     _segment_maxima,
     _synth_bin,
@@ -31,7 +33,7 @@ from acqroc.simulator import (
     monte_carlo_sweep,
 )
 from single_trial import (Classification, _ZeroNoise, dirichlet_kernel, noiseless_metric,
-                          run_waveform_trial)
+                          offset_mean_z, run_waveform_trial)
 
 PARAMS = SignalParams(cn0_dbhz=40.0, t_per=1e-3)
 N = CODE_LENGTH
@@ -212,6 +214,18 @@ class TestNoiseUnits:
             q = math.exp(-beta)
             se = math.sqrt(q * (1.0 - q) * inflation / cells.size)
             assert abs(np.mean(cells > beta) - q) < 4.0 * se, beta
+
+
+class TestMeanMetricByOffset:
+    def test_is_one_plus_half_the_expected_noncentrality(self):
+        # the paper's quantity: the mean correct-phase metric at offset l is
+        # 1 + E[L_l]/2, E[L_l] the sinc^2 average over the residual Doppler
+        nb = 1024
+        rec, _ = _record_waveform_batch(np.random.Generator(np.random.SFC64(26)), nb,
+                                        _wave_config(nb, 26))
+        for l in range(5):
+            want = 1.0 + expected_noncentrality(PARAMS, GRID, l) / 2.0
+            assert abs(offset_mean_z(rec, l, want)) <= 4.0, l
 
 
 class TestSingleWaveformTrial:
