@@ -1,0 +1,8 @@
+"""`python -m acqroc`: the command-line front end of `acqroc.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

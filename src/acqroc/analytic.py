@@ -133,13 +133,9 @@ class NonCentralityProfile:
         if any(not (math.isfinite(v) and v >= 0.0) for v in self.values):
             raise ValueError("non-centralities must be finite and >= 0")
 
-    @property
-    def l_max(self) -> int:
-        return len(self.values) - 1
-
     def at_offset(self, offset: int) -> float:
         s = abs(int(offset))
-        return self.values[s] if s <= self.l_max else 0.0
+        return self.values[s] if s < len(self.values) else 0.0
 
     @classmethod
     def expected(cls, params: SignalParams, grid: DopplerGrid,

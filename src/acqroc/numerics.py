@@ -52,18 +52,18 @@ class ProbabilityRangeError(ArithmeticError):
 _PROB_SLACK = 1e-9
 
 
-def as_probability(x, slack: float = _PROB_SLACK):
+def as_probability(x):
     """Clamp roundoff-sized overshoot into [0, 1]; larger violations raise.
 
     Scalar in, float out; array in, ndarray out.
     """
     # NaN fails every comparison, and makes an array's min and max NaN
     if np.ndim(x) == 0:
-        if not -slack <= float(x) <= 1.0 + slack:
+        if not -_PROB_SLACK <= float(x) <= 1.0 + _PROB_SLACK:
             raise ProbabilityRangeError(f"value {x!r} is not a probability")
         return min(1.0, max(0.0, float(x)))
     x = np.asarray(x, dtype=np.float64)
-    if x.size and not (x.min() >= -slack and x.max() <= 1.0 + slack):
+    if x.size and not (x.min() >= -_PROB_SLACK and x.max() <= 1.0 + _PROB_SLACK):
         raise ProbabilityRangeError(f"values in [{x.min()}, {x.max()}] are not all probabilities")
     return np.minimum(np.maximum(x, 0.0), 1.0)
 

@@ -10,11 +10,9 @@ which makes the autocorrelation peak exactly 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["CODE_LENGTH", "CaCode", "generate_ca_code"]
+__all__ = ["CODE_LENGTH", "generate_ca_code"]
 
 CODE_LENGTH = 1023
 
@@ -27,26 +25,12 @@ _G2_TAP_PAIRS = (
 )
 
 
-@dataclass(frozen=True)
-class CaCode:
-    """One C/A code period: PRN number and 1023 chips valued +/-1."""
-
-    prn: int
-    chips: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.chips.shape != (CODE_LENGTH,):
-            raise ValueError(f"code must hold exactly {CODE_LENGTH} chips")
-        vals = np.unique(self.chips)
-        if not np.all(np.isin(vals, (-1, 1))):
-            raise ValueError("chips must be +1 or -1")
+_CODE_CACHE: dict[int, np.ndarray] = {}
 
 
-_CODE_CACHE: dict[int, CaCode] = {}
-
-
-def generate_ca_code(prn: int) -> CaCode:
-    """Generate (and cache) the C/A code for PRN 1..32."""
+def generate_ca_code(prn: int) -> np.ndarray:
+    """Generate (and cache) the C/A code for PRN 1..32: one period of 1023
+    chips, a read-only int8 array of +/-1."""
     if int(prn) != prn or not 1 <= prn <= 32:
         raise ValueError(f"prn must be an integer in [1, 32], got {prn!r}")
     prn = int(prn)
@@ -64,6 +48,5 @@ def generate_ca_code(prn: int) -> CaCode:
         g2 = [fb2] + g2[:9]
     chips = np.where(bits == 0, 1, -1).astype(np.int8)
     chips.setflags(write=False)
-    code = CaCode(prn=prn, chips=chips)
-    _CODE_CACHE[prn] = code
-    return code
+    _CODE_CACHE[prn] = chips
+    return chips

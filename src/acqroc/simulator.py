@@ -26,16 +26,15 @@ sqrt(C/2) with C = L_max makes the non-centrality of 2|X|^2 equal
 relation between C/N0 and L_max.  Detection searches with the signal's
 PRN 1, the false-alarm search with PRN 5.
 
-Determinism.  Trials are processed in fixed-size batches; batch i of run
-tag t draws from its own SFC64 generator, seeded with the i-th child of
-SeedSequence((seed, t)).spawn(), at both fidelities.  Thresholds are
+Determinism.  Trials are processed in fixed-size batches; batch i draws
+from its own SFC64 generator, seeded with the i-th child of
+SeedSequence((seed, 0)).spawn(), at both fidelities.  Thresholds are
 applied post hoc to recorded per-trial segment maxima, so one pass serves a
 whole beta grid, and all aggregation is integer counting: results are
-identical for any worker count.  Detection batches use run tag 0.  At
-waveform level each detection batch also searches its received samples
-with the false-alarm code and records each trial's global maximum of that
-search, so the false-alarm maxima come from the detection batches; only the
-metric level runs a separate false-alarm run, with run tag 1.
+identical for any worker count.  Each batch also records every trial's
+global maximum of a signal-free search: at waveform level its received
+samples searched with the false-alarm code, at metric level the maximum of
+K N Exp(1) cells drawn after the batch's detection draws.
 """
 
 from __future__ import annotations
@@ -226,7 +225,7 @@ def _synth_bin(rng: np.random.Generator, rx: np.ndarray, f_local: float) -> np.n
 def _search_spectrum(prn: int) -> np.ndarray:
     """conj(C)/N^2 for the DFT C of a search code: the correlator's spectral
     factor, computed once per batch."""
-    chips = generate_ca_code(prn).chips.astype(np.float64)
+    chips = generate_ca_code(prn).astype(np.float64)
     return np.conj(np.fft.fft(chips)) / CODE_LENGTH ** 2
 
 
@@ -253,7 +252,7 @@ def _correlate_all_phases(baseband: np.ndarray, spectra: tuple[np.ndarray, ...])
 def _code_rows(prn: int, cp: np.ndarray, periods: int) -> np.ndarray:
     """Code chips delayed by each trial's phase, repeated over the code
     periods."""
-    chips = generate_ca_code(prn).chips.astype(np.float64)
+    chips = generate_ca_code(prn).astype(np.float64)
     idx = (np.arange(CODE_LENGTH)[None, :] - cp[:, None]) % CODE_LENGTH
     return np.tile(chips[idx], periods)
 
@@ -278,11 +277,13 @@ class _Records:
 
 
 def _record_metric_batch(rng: np.random.Generator, nb: int,
-                         config: SimConfig) -> _Records:
+                         config: SimConfig) -> tuple[_Records, np.ndarray]:
     """Draws cb, cp and df0, then every correct-phase cell as Exp(1), then
     the non-central metrics of the cells within +-l_max of the correct bin
-    over those, then the pre and post maxima.  Outside the band L = 0, where
-    |sqrt(L/2) e^{j psi} + n|^2 is exactly Exp(1)."""
+    over those, then the pre and post maxima, and last each trial's
+    false-alarm maximum over K N Exp(1) cells: a signal-free trial needs no
+    received samples.  Outside the band L = 0, where |sqrt(L/2) e^{j psi} +
+    n|^2 is exactly Exp(1)."""
     grid = config.grid
     k, n = grid.num_bins, CODE_LENGTH
     cb = rng.integers(0, k, nb)
@@ -294,7 +295,8 @@ def _record_metric_batch(rng: np.random.Generator, nb: int,
     sig[band] = draw_metric(lvals[band], rng)
     pre = _exp_block_max(rng, np.broadcast_to(cp[:, None], (nb, k)))
     post = _exp_block_max(rng, np.broadcast_to((n - 1 - cp)[:, None], (nb, k)))
-    return _Records(cb=cb, sig=sig, pre=pre, post=post)
+    fa_max = _exp_block_max(rng, np.full(nb, k * n))
+    return _Records(cb=cb, sig=sig, pre=pre, post=post), fa_max
 
 
 def _waveform_batch(rng: np.random.Generator, nb: int, config: SimConfig):
@@ -425,12 +427,13 @@ def _batch_sizes(trials: int, batch: int) -> list[int]:
     return sizes
 
 
-def _run_batches(config: SimConfig, run_tag: int, worker, workers: int):
+def _run_batches(config: SimConfig, worker, workers: int):
     """Evaluate `worker(rng, nb)` over deterministic per-batch substreams and
     return the results in batch order."""
     batch = _BATCH_METRIC if config.fidelity is Fidelity.METRIC_LEVEL else _BATCH_WAVEFORM
     sizes = _batch_sizes(config.trials, batch)
-    seeds = np.random.SeedSequence(entropy=(int(config.seed), run_tag)).spawn(len(sizes))
+    # validate draws from (seed, 2), disjoint from these substreams
+    seeds = np.random.SeedSequence(entropy=(int(config.seed), 0)).spawn(len(sizes))
 
     def job(i: int):
         rng = np.random.Generator(np.random.SFC64(seeds[i]))
@@ -444,36 +447,26 @@ def _run_batches(config: SimConfig, run_tag: int, worker, workers: int):
 
 def monte_carlo_sweep(config: SimConfig, betas, workers: int = 1) -> list[McEstimate]:
     """Detection and false-alarm estimates at every threshold of an ascending
-    grid, from one recording pass.  At waveform level the detection batches
-    also carry the false-alarm maxima; at metric level a signal-free trial
-    needs no received samples, and a run of its own (run tag 1) draws each
-    trial's global maximum of K N Exp(1) cells exactly."""
+    grid, from one recording pass: each batch records its detection search
+    and every trial's global maximum of a signal-free search."""
     betas = _beta_array(betas)
     k = config.grid.num_bins
     m = config.policy.accept_half_width
     order = config.policy.order
-    metric_level = config.fidelity is Fidelity.METRIC_LEVEL
+    record = (_record_metric_batch if config.fidelity is Fidelity.METRIC_LEVEL
+              else _record_waveform_batch)
 
-    def det_worker(rng, nb):
-        if metric_level:
-            return _count_detection(_record_metric_batch(rng, nb, config), order, betas, k), None
-        rec, fa_max = _record_waveform_batch(rng, nb, config)
+    def worker(rng, nb):
+        rec, fa_max = record(rng, nb, config)
         return _count_detection(rec, order, betas, k), _count_stops(fa_max, betas)
-
-    def fa_worker(rng, nb):
-        return _count_stops(_exp_block_max(rng, np.full(nb, k * CODE_LENGTH)), betas)
 
     hist = np.zeros((2 * k - 1, betas.size + 1), dtype=np.int64)
     stops = np.zeros(betas.size + 1, dtype=np.int64)
     fa = np.zeros(betas.size + 1, dtype=np.int64)
-    for (h, s), f in _run_batches(config, 0, det_worker, workers):
+    for (h, s), f in _run_batches(config, worker, workers):
         hist += h
         stops += s
-        if f is not None:
-            fa += f
-    if metric_level:
-        for f in _run_batches(config, 1, fa_worker, workers):
-            fa += f
+        fa += f
     hist = np.cumsum(hist, axis=1)[:, :-1]
     stops = np.cumsum(stops)[:-1]
     fa = np.cumsum(fa)[:-1]

@@ -38,6 +38,8 @@ STANDARD_SHA256 = {
     "roc": "06f6d25edda6feb6dd256ba863769573f4bd40a672f32c3cb03130884854e9ee",
     "validate": "6e183efdd36f5d69ece42059bb926e0f63bc55807b810fa46522a2118fb2c037",
 }
+# metric-level simulate --trials 20000 on the standard config, default seed
+STANDARD_METRIC_SHA256 = "1e83ac1297a2bd221a036247ff20b8034058f84ad40ed6e5f96086fa516fb4ec"
 
 
 def write_config(tmp_path, extra=None, name="config.json"):
@@ -339,6 +341,16 @@ class TestCli:
         got["validate"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert got == STANDARD_SHA256
 
+    def test_standard_config_metric_simulate_is_pinned(self, tmp_path):
+        # a change to the metric-level realizations shows here and must be
+        # announced; the bytes are the same at any worker count
+        cfg = write_config(tmp_path, STANDARD)
+        for workers in ("1", "2"):
+            out = tmp_path / f"metric{workers}.csv"
+            assert main(["simulate", "--config", cfg, "--out", str(out), "--trials", "20000",
+                         "--workers", workers]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == STANDARD_METRIC_SHA256
+
     def test_config_error_exits_two(self, tmp_path, capsys):
         bad = write_config(tmp_path, {"bogus": 1})
         assert main(["roc", "--config", bad, "--out", str(tmp_path / "x.csv")]) == 2
@@ -379,15 +391,26 @@ class TestCli:
             main(["roc"])
         assert exc.value.code == 2
 
-    def test_module_entry_point(self, tmp_path):
+    @staticmethod
+    def _run_module(module, *argv):
         # the child imports the same acqroc as this process, with or without
         # PYTHONPATH set by the caller
-        bad = write_config(tmp_path, {"trials": -3})
         src = os.path.dirname(os.path.dirname(acqroc.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "acqroc.cli", "roc", "--config", bad,
-             "--out", str(tmp_path / "x.csv")],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path})
+
+    def test_module_entry_point(self, tmp_path):
+        bad = write_config(tmp_path, {"trials": -3})
+        proc = self._run_module("acqroc.cli", "roc", "--config", bad,
+                                "--out", str(tmp_path / "x.csv"))
         assert proc.returncode == 2
         assert "config error" in proc.stderr
+
+    def test_package_entry_point_matches_cli_module(self, tmp_path):
+        cfg = write_config(tmp_path, STANDARD)
+        package = self._run_module("acqroc", "validate", "--config", cfg)
+        cli_module = self._run_module("acqroc.cli", "validate", "--config", cfg)
+        assert package.returncode == cli_module.returncode == 0, package.stderr
+        assert package.stdout == cli_module.stdout
+        assert "validate: OK" in package.stdout

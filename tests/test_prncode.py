@@ -8,7 +8,7 @@ table, instead of the two-tap phase selector the implementation uses.
 import numpy as np
 import pytest
 
-from acqroc.prncode import CODE_LENGTH, CaCode, generate_ca_code
+from acqroc.prncode import CODE_LENGTH, generate_ca_code
 
 # published delay (chips) of the G2 sequence per PRN 1..32
 G2_DELAYS = [
@@ -54,11 +54,11 @@ def _oracle_code(prn):
 class TestGenerator:
     def test_matches_delay_construction_for_all_prns(self):
         for prn in range(1, 33):
-            np.testing.assert_array_equal(generate_ca_code(prn).chips, _oracle_code(prn))
+            np.testing.assert_array_equal(generate_ca_code(prn), _oracle_code(prn))
 
     def test_first_ten_chips_octal(self):
         for prn, want in FIRST_TEN_OCTAL.items():
-            chips = generate_ca_code(prn).chips[:10]
+            chips = generate_ca_code(prn)[:10]
             bits = (1 - chips) // 2  # +1 -> 0, -1 -> 1
             got = int("".join(str(int(b)) for b in bits), 2)
             assert got == want, f"PRN {prn}: {oct(got)} != {oct(want)}"
@@ -66,27 +66,20 @@ class TestGenerator:
     def test_chip_balance(self):
         # 512 ones vs 511 zeros in bit land: chip sum is exactly -1
         for prn in range(1, 33):
-            assert int(generate_ca_code(prn).chips.sum()) == -1
+            assert int(generate_ca_code(prn).sum()) == -1
 
     def test_cache_returns_same_object_and_is_readonly(self):
         a = generate_ca_code(7)
         b = generate_ca_code(7)
-        assert a.chips is b.chips
+        assert a is b
+        assert a.dtype == np.int8 and a.shape == (CODE_LENGTH,)
         with pytest.raises((ValueError, RuntimeError)):
-            a.chips[0] = -a.chips[0]
+            a[0] = -a[0]
 
     def test_rejects_bad_prn(self):
         for prn in (0, 33, -3):
             with pytest.raises(ValueError):
                 generate_ca_code(prn)
-
-    def test_cacode_validates_shape_and_values(self):
-        with pytest.raises(ValueError):
-            CaCode(prn=1, chips=np.ones(5, dtype=np.int8))
-        bad = np.ones(CODE_LENGTH, dtype=np.int8)
-        bad[3] = 0
-        with pytest.raises(ValueError):
-            CaCode(prn=1, chips=bad)
 
 
 class TestCorrelation:
@@ -97,28 +90,28 @@ class TestCorrelation:
     def test_autocorrelation_three_valued(self):
         allowed = {-65, -1, 63}
         for prn in (1, 5, 9, 17, 24, 32):
-            c = generate_ca_code(prn).chips.astype(np.float64)
+            c = generate_ca_code(prn).astype(np.float64)
             r = np.rint(self._all_lags(c, c) * CODE_LENGTH).astype(int)
             assert r[0] == CODE_LENGTH
             assert set(r[1:].tolist()) <= allowed, f"PRN {prn}"
 
     def test_crosscorrelation_bounded(self):
-        c1 = generate_ca_code(1).chips.astype(np.float64)
-        c5 = generate_ca_code(5).chips.astype(np.float64)
+        c1 = generate_ca_code(1).astype(np.float64)
+        c5 = generate_ca_code(5).astype(np.float64)
         r = np.rint(self._all_lags(c1, c5) * CODE_LENGTH).astype(int)
         assert set(r.tolist()) <= {-65, -1, 63}
         assert np.abs(r).max() == 65
 
     def test_single_lag_matches_oracle(self):
-        c1 = generate_ca_code(1).chips.astype(np.float64)
-        c5 = generate_ca_code(5).chips.astype(np.float64)
+        c1 = generate_ca_code(1).astype(np.float64)
+        c5 = generate_ca_code(5).astype(np.float64)
         want = self._all_lags(c1, c5)
         for lag in (0, 1, 511, 1022, -1, 2046):
             got = circular_correlation(c1, c5, lag)
             assert got == pytest.approx(want[lag % CODE_LENGTH], abs=1e-12)
 
     def test_peak_is_unity(self):
-        c = generate_ca_code(12).chips.astype(np.float64)
+        c = generate_ca_code(12).astype(np.float64)
         assert circular_correlation(c, c, 0) == pytest.approx(1.0, abs=0)
 
     def test_rejects_mismatched_inputs(self):

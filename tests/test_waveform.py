@@ -108,7 +108,7 @@ class TestNoiselessChain:
         cb, cp, df0 = 7, 300, 300.0
         _, _, bins = _waveform_batch(_NoiselessDraws(cb, cp, df0), 1, config)
         got = [p for p, _ in bins][cb][0]
-        code = generate_ca_code(1).chips.astype(np.float64)
+        code = generate_ca_code(1).astype(np.float64)
         n = np.arange(2 * N)
         rx = (math.sqrt(l_max_param(params) / 2.0) * code[(n - cp) % N]
               * np.exp(2j * np.pi * df0 * n / 1.023e6))
@@ -143,10 +143,10 @@ class TestChainReference:
         fd = centers[cb] + df0
         t = np.arange(n_high) / 1.023e6
         chip = np.arange(n_high)
-        code = generate_ca_code(1).chips.astype(np.float64)
+        code = generate_ca_code(1).astype(np.float64)
         csig = code[(chip[None, :] - cp[:, None]) % N]
         search = code[(chip[None, :] - np.arange(N)[:, None]) % N]
-        code5 = generate_ca_code(5).chips.astype(np.float64)
+        code5 = generate_ca_code(5).astype(np.float64)
         search5 = code5[(chip[None, :] - np.arange(N)[:, None]) % N]
         want, want_fa = [], []
         for fb in centers:
@@ -206,7 +206,7 @@ class TestNoiseUnits:
             p for f_local in (-2000.0, 0.0, 500.0, 1500.0)
             for p in _correlate_all_phases(_synth_bin(rng, rx, f_local), (spectrum,))
         ]).ravel()
-        code = generate_ca_code(1).chips.astype(np.float64)
+        code = generate_ca_code(1).astype(np.float64)
         rho = np.fft.ifft(np.abs(np.fft.fft(code)) ** 2).real / N
         inflation = float(np.sum(rho ** 2))
         assert abs(cells.mean() - 1.0) < 4.0 * math.sqrt(inflation / cells.size)
