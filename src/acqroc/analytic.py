@@ -55,7 +55,6 @@ __all__ = [
     "cell_pdet",
     "cell_pdet_exact",
     "global_pfa",
-    "global_pdet_naive",
     "global_pdet_code_first",
     "global_pdet_doppler_first",
     "global_pdet_approx",
@@ -94,14 +93,13 @@ def l_max_param(params: SignalParams) -> float:
 
 @dataclass(frozen=True)
 class DopplerGrid:
-    """K Doppler bins of width W covering +/- f_dmax."""
+    """K Doppler bins of width W covering +/- f_dmax; W T_per takes SignalParams.t_per."""
 
     bin_width_hz: float
     f_dmax_hz: float
-    t_per: float
 
     def __post_init__(self) -> None:
-        for name in ("bin_width_hz", "f_dmax_hz", "t_per"):
+        for name in ("bin_width_hz", "f_dmax_hz"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be positive")
@@ -111,10 +109,6 @@ class DopplerGrid:
         q = 2.0 * self.f_dmax_hz / self.bin_width_hz
         # the 1e-9 guard keeps an exactly-integer quotient from ceiling up
         return max(int(math.ceil(q - 1e-9)), 1)
-
-    @property
-    def relative_width(self) -> float:
-        return self.bin_width_hz * self.t_per
 
 
 @dataclass(frozen=True)
@@ -184,7 +178,7 @@ def expected_noncentrality(params: SignalParams, grid: DopplerGrid, l: int) -> f
     """
     if int(l) != l or l < 0:
         raise ValueError("offset l must be a non-negative integer")
-    wt = grid.relative_width
+    wt = grid.bin_width_hz * params.t_per
     x_lo = (2 * l - 1) * wt / 2.0
     x_hi = (2 * l + 1) * wt / 2.0
     lm = l_max_param(params)
@@ -262,7 +256,7 @@ def _residual_doppler_mean(params: SignalParams, grid: DopplerGrid, beta,
     sinc^2 is even, so P_det at node -x and offset s is bitwise that at x
     and -s: the call covers only the positive nodes, at +/-`offsets`.
     """
-    wt = grid.relative_width
+    wt = grid.bin_width_hz * params.t_per
     lm = l_max_param(params)
     betas = np.asarray(beta, dtype=np.float64)
     if betas.ndim:
@@ -397,15 +391,6 @@ def _global_at(profile: NonCentralityProfile, policy: SearchPolicy,
     pd = cell_pdet(np.array(profile.values), beta)
     columns = _global_columns(pd[None], np.array([cell_pfa(beta)]), n, k, policy.accept_half_width)
     return tuple(float(c[0]) for c in columns)
-
-
-def global_pdet_naive(l_correct: float, beta: float, n: int, k: int) -> float:
-    """Single-signal-cell model: the search detects iff the first crossing
-    is the one correct cell, all K*N cell positions equally likely."""
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be >= 1")
-    policy = SearchPolicy(SearchOrder.CODE_PHASE_FIRST, 0, beta)
-    return _global_at(NonCentralityProfile((l_correct,)), policy, n, k)[1]
 
 
 def global_pdet_code_first(profile: NonCentralityProfile, policy: SearchPolicy,

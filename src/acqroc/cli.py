@@ -74,11 +74,12 @@ def _roc_tables(config: ExperimentConfig):
 def _cmd_cell_probs(config: ExperimentConfig, out: str) -> int:
     # the reference column carries the loss-free bound: the perfectly
     # centered cell for l = 0, plain noise beyond
-    centered = cell_pdet(l_max_param(config.params()), config.beta_grid.thresholds())
+    params = config.params()
+    centered = cell_pdet(l_max_param(params), config.beta_grid.thresholds())
     rows = []
     for grid, points in _roc_tables(config):
         for l in range(3):
-            rows.extend([p.width_hz, grid.relative_width, l, p.beta, p.p_fa_cell,
+            rows.extend([p.width_hz, grid.bin_width_hz * params.t_per, l, p.beta, p.p_fa_cell,
                          getattr(p, f"p_det_cell_l{l}"), getattr(p, f"p_det_cell_l{l}_exact"),
                          ref if l == 0 else p.p_fa_cell]
                         for p, ref in zip(points, centered))
@@ -153,6 +154,8 @@ def main(argv=None) -> int:
         config = override(load_config(args.config), overrides)
         if "out" in args and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
             raise ConfigError(f"--out directory of {args.out!r} does not exist")
+        if "out" in args and os.path.isdir(args.out):
+            raise ConfigError(f"--out {args.out!r} is a directory, not a file")
         if "workers" in args and args.workers < 1:
             raise ConfigError("--workers must be >= 1")
     except ConfigError as exc:

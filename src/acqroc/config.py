@@ -91,8 +91,7 @@ class ExperimentConfig:
         return SignalParams(cn0_dbhz=self.cn0_dbhz, t_per=self.tper_ms * 1e-3)
 
     def grid(self, width_hz: float) -> DopplerGrid:
-        return DopplerGrid(bin_width_hz=width_hz, f_dmax_hz=self.fdmax_hz,
-                           t_per=self.tper_ms * 1e-3)
+        return DopplerGrid(bin_width_hz=width_hz, f_dmax_hz=self.fdmax_hz)
 
     def m_for(self, width_hz: float) -> int:
         return self.m_by_width.get(width_hz, 0)

@@ -3,14 +3,14 @@
 Metric level draws each cell's decision metric from its exact
 per-realization distribution: noise cells are Exp(1), the correct-phase
 cell of the bin at signed offset s is |sqrt(L/2) e^{j psi} + n|^2 with
-L = L_max sinc^2((df0 - s W) T_per) for the realized residual Doppler df0
-(zero beyond the l_max truncation, where that cell is drawn as the Exp(1)
-it then is; only the +-l_max band takes the non-central draw).  Waveform
-level synthesizes each trial's received code-modulated carrier once, then
-per Doppler bin downconverts it with that bin's local-oscillator row, adds
-a fresh white noise realization, despreads at every code phase, averages,
-and squares; the metrics then come out of the arithmetic instead of out of
-a distribution.
+L = L_max sinc^2((df0 - s W) T_per), T_per of SignalParams, for the
+realized residual Doppler df0 (zero beyond the l_max truncation, where that
+cell is drawn as the Exp(1) it then is; only the +-l_max band takes the
+non-central draw).  Waveform level synthesizes each trial's received
+code-modulated carrier once, then per Doppler bin downconverts it with that
+bin's local-oscillator row, adds a fresh white noise realization, despreads
+at every code phase, averages, and squares; the metrics then come out of
+the arithmetic instead of out of a distribution.
 
 Unit audit (waveform level).  The decision metric must have noise with
 per-component variance 1/2 so thresholds mean the same thing in both
@@ -189,7 +189,7 @@ def _realized_l(params: SignalParams, grid: DopplerGrid, l_max: int,
     rows, bins = np.nonzero(np.abs(offsets) <= l_max)
     resid = df0[rows] - offsets[rows, bins] * grid.bin_width_hz
     lvals = np.zeros(offsets.shape)
-    lvals[rows, bins] = l_max_param(params) * np.sinc(resid * grid.t_per) ** 2
+    lvals[rows, bins] = l_max_param(params) * np.sinc(resid * params.t_per) ** 2
     return lvals
 
 

@@ -36,6 +36,7 @@ from .analytic import (
 )
 from .config import ExperimentConfig
 from .oracle import _averaged_detection, _offset_pdet
+from .prncode import CODE_LENGTH
 from .simulator import draw_metric
 
 __all__ = ["CheckStatus", "CheckResult", "run_validation", "GAP_BOUND", "KNOWN_GAP_OFFSETS"]
@@ -117,13 +118,13 @@ def _check_invariants(config: ExperimentConfig) -> CheckResult:
     for width in config.bin_widths_hz:
         grid = config.grid(width)
         k = grid.num_bins
-        pfas = [global_pfa(cell_pfa(float(b)), 1023, k) for b in betas]
+        pfas = [global_pfa(cell_pfa(float(b)), CODE_LENGTH, k) for b in betas]
         if any(a < b for a, b in zip(pfas, pfas[1:])):
             problems.append(f"global P_fa not monotone at W={width}")
         prof = NonCentralityProfile.expected(params, grid, config.lmax)
         mid = float(betas[betas.size // 2])
         vals = [global_pdet_code_first(prof, SearchPolicy(SearchOrder.CODE_PHASE_FIRST, m, mid),
-                                       1023, k) for m in range(min(k, 3))]
+                                       CODE_LENGTH, k) for m in range(min(k, 3))]
         if any(a > b + 1e-15 for a, b in zip(vals, vals[1:])):
             problems.append(f"P_det not monotone in M at W={width}")
     pdets = cell_pdet(np.linspace(0.0, 25.0, 26), 8.0)
@@ -141,7 +142,7 @@ def _check_energy(config: ExperimentConfig) -> list[CheckResult]:
     out = []
     for width in config.bin_widths_hz:
         grid = config.grid(width)
-        wt = grid.relative_width
+        wt = grid.bin_width_hz * params.t_per
         total = expected_noncentrality(params, grid, 0)
         total += 2.0 * sum(expected_noncentrality(params, grid, l)
                            for l in range(1, ENERGY_TERMS + 1))
@@ -170,7 +171,7 @@ def _check_gap_diagnostic(config: ExperimentConfig) -> list[CheckResult]:
     out = []
     for width in config.bin_widths_hz:
         grid = config.grid(width)
-        wt = grid.relative_width
+        wt = grid.bin_width_hz * params.t_per
         points = roc_curve(params, grid, config.policy(width), betas)
         for l in range(3):
             gap = max(abs(getattr(p, f"p_det_cell_l{l}_exact") - getattr(p, f"p_det_cell_l{l}"))

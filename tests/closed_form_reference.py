@@ -71,12 +71,10 @@ def global_pdet(order: SearchOrder, pd: np.ndarray, pfa: float, n: int, k: int, 
 
 
 def closed_forms(profile, beta: float, n: int, k: int, m: int) -> tuple[float, ...]:
-    """global_pdet_naive (of the offset-0 value), _code_first, _doppler_first
-    and _approx at one threshold."""
+    """global_pdet_code_first, _doppler_first and _approx at one threshold."""
     pd = cell_pdet(np.array(profile.values), beta)
     pfa = cell_pfa(beta)
-    return (naive_value(cell_pdet(profile.values[0], beta), pfa, n, k),
-            global_pdet(SearchOrder.CODE_PHASE_FIRST, pd, pfa, n, k, m),
+    return (global_pdet(SearchOrder.CODE_PHASE_FIRST, pd, pfa, n, k, m),
             global_pdet(SearchOrder.DOPPLER_FIRST, pd, pfa, n, k, m),
             as_probability(accept_sum(profile_pdet(pd, pfa, k), 1.0, k, m) / k))
 

@@ -8,13 +8,16 @@ line and the companion model-aware test proving the implementation sound.
 Run with -s (or read the terminal summary section) to see all lines.
 """
 
+import itertools
 import json
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import sici
 
 from acqroc.analytic import (
     DopplerGrid,
@@ -29,7 +32,6 @@ from acqroc.analytic import (
     global_pdet_code_first,
     global_pdet_code_first_exact,
     global_pdet_doppler_first,
-    global_pdet_naive,
     global_pfa,
     l_max_param,
 )
@@ -47,6 +49,8 @@ from acqroc.simulator import (
 from acqroc.validate import KNOWN_GAP_OFFSETS
 from single_trial import dirichlet_kernel, noiseless_metric
 
+import closed_form_reference as ref
+
 PARAMS = SignalParams(cn0_dbhz=40.0, t_per=1.0e-3)
 WIDTHS_HZ = (200.0, 500.0, 700.0, 1000.0)
 F_DMAX_HZ = 5000.0
@@ -57,8 +61,7 @@ SEED_C4 = 1
 
 
 def _grid(width_hz: float) -> DopplerGrid:
-    return DopplerGrid(bin_width_hz=width_hz, f_dmax_hz=F_DMAX_HZ,
-                       t_per=PARAMS.t_per)
+    return DopplerGrid(bin_width_hz=width_hz, f_dmax_hz=F_DMAX_HZ)
 
 
 def _profile(grid: DopplerGrid) -> NonCentralityProfile:
@@ -111,7 +114,7 @@ def test_criterion_2_reduction_identity(criterion_report):
                             NonCentralityProfile((l0, 0.0, 0.0))):
                 for beta in betas:
                     b = float(beta)
-                    naive = global_pdet_naive(l0, b, N_PHASES, k)
+                    naive = ref.naive_value(cell_pdet(l0, b), cell_pfa(b), N_PHASES, k)
                     for order, analytic in (
                             (SearchOrder.CODE_PHASE_FIRST, global_pdet_code_first),
                             (SearchOrder.DOPPLER_FIRST, global_pdet_doppler_first)):
@@ -196,7 +199,7 @@ def reference_sweeps():
                             l_max=L_MAX)
             results = monte_carlo_sweep(sim, betas, workers=4)
             cases.append(_SweepCase(
-                width, m, round(grid.relative_width, 6), expected_curve,
+                width, m, round(width * PARAMS.t_per, 6), expected_curve,
                 exact_curve, pfa_curve,
                 np.array([r.n_detect for r in results]),
                 np.array([r.n_fa_stop for r in results]),
@@ -312,14 +315,33 @@ def test_criterion_6_energy_identity(criterion_report):
         grid = _grid(width)
         total = expected_noncentrality(PARAMS, grid, 0) + 2.0 * sum(
             expected_noncentrality(PARAMS, grid, l) for l in range(1, 51))
-        captures[grid.relative_width] = (
-            grid.relative_width * total / l_max_param(PARAMS))
+        captures[width * PARAMS.t_per] = (
+            width * PARAMS.t_per * total / l_max_param(PARAMS))
     detail = ", ".join(f"wt={wt:g}: {c:.6f}" for wt, c in captures.items())
     ok = all(0.99 <= c <= 1.0 for c in captures.values())
     criterion_report(
         f"[criterion 6] {'PASS' if ok else 'FAIL (expected)'}: 50-term "
         f"energy capture in [0.99, 1.0]; {detail}")
     assert ok
+
+
+def test_energy_sum_matches_the_sine_integral_form():
+    """The paper's expression end to end: sum_{|l|<=n} E[L_l] W T / L_max
+    telescopes to twice the sinc^2 integral up to x = (n + 1/2) W T, which is
+    2 (Si(2 pi x) - sin^2(pi x) / (pi x)) / pi, with Si from scipy."""
+    worst = 0.0
+    for cn0, t_per in itertools.product((30.0, 40.0, 50.0), (1e-3, 2e-3, 10e-3)):
+        params = SignalParams(cn0, t_per)
+        for target_wt in (0.05, 0.1, 0.2, 0.5, 0.7, 1.0, 3.3, 20.0, 30.0, 50.0):
+            grid = DopplerGrid(target_wt / t_per, F_DMAX_HZ)
+            wt = grid.bin_width_hz * t_per
+            ls = [expected_noncentrality(params, grid, l) for l in range(51)]
+            for n in (0, 1, 2, 10, 50):
+                got = (ls[0] + 2.0 * sum(ls[1:n + 1])) * wt / l_max_param(params)
+                px = math.pi * (n + 0.5) * wt
+                want = 2.0 * (sici(2.0 * px)[0] - math.sin(px) ** 2 / px) / math.pi
+                worst = max(worst, abs(got - want))
+    assert worst < 1e-12, worst
 
 
 # --- criterion 7: qualitative width orderings of the analytic curves --------

@@ -25,7 +25,6 @@ from acqroc.analytic import (
     global_pdet_code_first,
     global_pdet_code_first_exact,
     global_pdet_doppler_first,
-    global_pdet_naive,
     global_pfa,
     l_max_param,
     roc_curve,
@@ -57,7 +56,7 @@ ENERGY = {
 
 
 def _grid(width):
-    return DopplerGrid(bin_width_hz=width, f_dmax_hz=5000.0, t_per=1e-3)
+    return DopplerGrid(bin_width_hz=width, f_dmax_hz=5000.0)
 
 
 class TestGeometry:
@@ -66,9 +65,9 @@ class TestGeometry:
             assert _grid(width).num_bins == k
 
     def test_num_bins_rounds_up_only_for_fractions(self):
-        assert DopplerGrid(300.0, 5000.0, 1e-3).num_bins == 34
+        assert DopplerGrid(300.0, 5000.0).num_bins == 34
         # quotient that is integral up to float fuzz must not ceil upward
-        assert DopplerGrid(1000.0000000001, 5000.0, 1e-3).num_bins == 10
+        assert DopplerGrid(1000.0000000001, 5000.0).num_bins == 10
 
     def test_l_max_param(self):
         assert l_max_param(PARAMS) == pytest.approx(20.0, rel=1e-14)
@@ -76,9 +75,9 @@ class TestGeometry:
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            DopplerGrid(0.0, 5000.0, 1e-3)
+            DopplerGrid(0.0, 5000.0)
         with pytest.raises(ValueError):
-            DopplerGrid(100.0, -1.0, 1e-3)
+            DopplerGrid(100.0, -1.0)
 
 
 class TestExpectedNonCentrality:
@@ -104,7 +103,7 @@ class TestExpectedNonCentrality:
         # nearly all of L_max is recovered across the 101 nearest bins; the
         # remainder is the sinc^2 tail beyond |x| = 101 (W T_per) / 2
         for wt, want in ENERGY.items():
-            grid = DopplerGrid(wt * 1000.0, 5000.0, 1e-3)
+            grid = DopplerGrid(wt * 1000.0, 5000.0)
             total = expected_noncentrality(PARAMS, grid, 0)
             total += 2.0 * sum(expected_noncentrality(PARAMS, grid, l) for l in range(1, 51))
             got = wt * total / l_max_param(PARAMS)
@@ -141,7 +140,7 @@ class TestCellProbabilities:
     def test_exact_matches_expected_when_width_is_narrow(self):
         # at W T_per = 0.05 the residual barely moves the sinc, so averaging
         # before or after the Marcum function cannot matter much
-        grid = DopplerGrid(50.0, 5000.0, 1e-3)
+        grid = DopplerGrid(50.0, 5000.0)
         for beta in (6.0, 10.0, 14.0):
             a = cell_pdet_exact(PARAMS, grid, 0, beta)
             b = cell_pdet(expected_noncentrality(PARAMS, grid, 0), beta)
@@ -197,7 +196,7 @@ class TestCellMonotonicity:
 
 def _full_node_mean(params, grid, beta, offsets, reduce=None):
     """_residual_doppler_mean with the evaluator run on every node."""
-    wt = grid.relative_width
+    wt = grid.bin_width_hz * params.t_per
     lm = l_max_param(params)
     betas = np.asarray(beta, dtype=np.float64)
     if betas.ndim:
@@ -249,7 +248,7 @@ class TestGlobalProbabilities:
         k = 20
         for beta in default_beta_grid()[::4]:
             b = float(beta)
-            naive = global_pdet_naive(prof.values[0], b, N, k)
+            naive = ref.naive_value(cell_pdet(prof.values[0], b), cell_pfa(b), N, k)
             cf = global_pdet_code_first(prof, SearchPolicy(SearchOrder.CODE_PHASE_FIRST, 0, b), N, k)
             df = global_pdet_doppler_first(prof, SearchPolicy(SearchOrder.DOPPLER_FIRST, 0, b), N, k)
             assert abs(cf - naive) < 1e-12
@@ -298,7 +297,7 @@ class TestExactGlobal:
         for width, m, beta in ((1000.0, 0, 10.0), (1000.0, 1, 13.0), (500.0, 1, 11.5)):
             grid = _grid(width)
             k = grid.num_bins
-            wt = grid.relative_width
+            wt = width * PARAMS.t_per
             pol = SearchPolicy(SearchOrder.CODE_PHASE_FIRST, m, beta)
             from acqroc.numerics import marcum_q1
 
@@ -332,7 +331,7 @@ class TestExactGlobal:
             assert got == pytest.approx(want, abs=max(5e-9, 10 * err)), (width, m, beta)
 
     def test_reduces_to_expected_variant_for_narrow_bins(self):
-        grid = DopplerGrid(50.0, 5000.0, 1e-3)
+        grid = DopplerGrid(50.0, 5000.0)
         prof = NonCentralityProfile.expected(PARAMS, grid, 2)
         beta = 10.0
         pol = SearchPolicy(SearchOrder.CODE_PHASE_FIRST, 0, beta)
@@ -353,7 +352,7 @@ def _engine_cases(rng, count):
         m, l_max = corners[i][1:] if i < len(corners) else (
             int(rng.integers(0, min(k, 4))), int(rng.integers(0, min(k + 3, 7))))
         width = float(rng.uniform(100.0, 1500.0))
-        grid = DopplerGrid(width, k * width / 2.0, 1e-3)
+        grid = DopplerGrid(width, k * width / 2.0)
         assert grid.num_bins == k
         betas = rng.uniform(0.0, 40.0, int(rng.integers(1, 6)))
         edge = rng.random()
@@ -400,8 +399,7 @@ class TestEngineMatchesPerBetaReference:
             b = float(betas[-1])
             cf = SearchPolicy(SearchOrder.CODE_PHASE_FIRST, m, b)
             df = SearchPolicy(SearchOrder.DOPPLER_FIRST, m, b)
-            got = (global_pdet_naive(profile.values[0], b, n, k),
-                   global_pdet_code_first(profile, cf, n, k),
+            got = (global_pdet_code_first(profile, cf, n, k),
                    global_pdet_doppler_first(profile, df, n, k),
                    global_pdet_approx(profile, cf, k))
             assert got == ref.closed_forms(profile, b, n, k, m), (k, m, l_max, n, b)

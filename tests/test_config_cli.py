@@ -65,7 +65,7 @@ def config_pairs(draw):
             else draw(st.floats(0.1, 10.0)))
     fdmax = draw(st.floats(500.0, 10000.0))
     widths = draw(st.lists(st.floats(100.0, 2000.0), min_size=1, max_size=4, unique=True))
-    m_by_width = {w: draw(st.integers(0, min(3, DopplerGrid(w, fdmax, tper * 1e-3).num_bins - 1)))
+    m_by_width = {w: draw(st.integers(0, min(3, DopplerGrid(w, fdmax).num_bins - 1)))
                   for w in draw(st.lists(st.sampled_from(widths), unique=True))}
     min_pfa = draw(st.floats(1e-12, 0.5))
     beta_grid = {"min_pfa": min_pfa, "max_pfa": draw(st.floats(2.0 * min_pfa, 1.0)),
@@ -378,6 +378,21 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
         assert not out.parent.exists()
+
+    def test_out_naming_a_directory_exits_two_before_computing(self, tmp_path, capsys,
+                                                              monkeypatch):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+
+        def no_tables(config):
+            raise AssertionError("tables computed before --out was checked")
+
+        monkeypatch.setattr(acqroc.cli, "_roc_tables", no_tables)
+        assert main(["roc", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert list(out.iterdir()) == []
 
     def test_invalid_workers_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL)

@@ -19,10 +19,11 @@ from acqroc.analytic import (
     cell_pfa,
     global_pdet_code_first,
     global_pdet_doppler_first,
-    global_pdet_naive,
 )
 from acqroc.oracle import _stop_probs, averaged_detection
 from single_trial import averaged_detection_serial
+
+import closed_form_reference as ref
 
 
 class TestStopDistribution:
@@ -97,7 +98,7 @@ class TestAveragedDetection:
         # happens to land on the correct cell
         profile = NonCentralityProfile((0.0,))
         beta, k, n = 1.5, 3, 4
-        want = global_pdet_naive(0.0, beta, n, k)
+        want = ref.naive_value(cell_pdet(0.0, beta), cell_pfa(beta), n, k)
         got = averaged_detection(profile, beta, k, n, 0, SearchOrder.CODE_PHASE_FIRST)
         assert got == pytest.approx(want, rel=1e-13)
 

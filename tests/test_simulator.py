@@ -47,7 +47,7 @@ def _config(width=1000.0, m=0, order=SearchOrder.CODE_PHASE_FIRST, trials=20000,
         seed=seed,
         fidelity=Fidelity.METRIC_LEVEL,
         params=PARAMS,
-        grid=DopplerGrid(width, 5000.0, 1e-3),
+        grid=DopplerGrid(width, 5000.0),
         policy=SearchPolicy(order, m, threshold),
     )
 
@@ -328,12 +328,12 @@ class TestSweepBookkeeping:
             _config(m=10)  # not smaller than num_bins at W=1000
         with pytest.raises(ValueError):
             SimConfig(trials=10, seed=-1, fidelity=Fidelity.METRIC_LEVEL,
-                      params=PARAMS, grid=DopplerGrid(1000.0, 5000.0, 1e-3),
+                      params=PARAMS, grid=DopplerGrid(1000.0, 5000.0),
                       policy=SearchPolicy(SearchOrder.CODE_PHASE_FIRST, 0))
         # the waveform chain runs whole code periods: T_per = 1.5 ms has none
         with pytest.raises(ValueError, match="whole numbers"):
             SimConfig(trials=10, seed=0, fidelity=Fidelity.WAVEFORM,
-                      params=SignalParams(40.0, 1.5e-3), grid=DopplerGrid(1000.0, 5000.0, 1.5e-3),
+                      params=SignalParams(40.0, 1.5e-3), grid=DopplerGrid(1000.0, 5000.0),
                       policy=SearchPolicy(SearchOrder.CODE_PHASE_FIRST, 0))
 
 

@@ -37,7 +37,7 @@ from single_trial import (Classification, _ZeroNoise, dirichlet_kernel, noiseles
 
 PARAMS = SignalParams(cn0_dbhz=40.0, t_per=1e-3)
 N = CODE_LENGTH
-GRID = DopplerGrid(1000.0, 5000.0, 1e-3)
+GRID = DopplerGrid(1000.0, 5000.0)
 
 
 def _wave_config(trials, seed, m=0, threshold=None):
@@ -103,7 +103,7 @@ class TestNoiselessChain:
         # included, equals a direct correlation over the two code periods
         params = SignalParams(cn0_dbhz=40.0, t_per=2e-3)
         config = SimConfig(trials=1, seed=0, fidelity=Fidelity.WAVEFORM, params=params,
-                           grid=DopplerGrid(500.0, 5000.0, 2e-3),
+                           grid=DopplerGrid(500.0, 5000.0),
                            policy=SearchPolicy(SearchOrder.CODE_PHASE_FIRST, 0))
         cb, cp, df0 = 7, 300, 300.0
         _, _, bins = _waveform_batch(_NoiselessDraws(cb, cp, df0), 1, config)
@@ -128,7 +128,7 @@ class TestChainReference:
         # every delayed copy of the signal code (PRN 1) and of the
         # false-alarm code (PRN 5), keeping each row's maximum of the latter
         params = SignalParams(cn0_dbhz=40.0, t_per=t_per)
-        grid = DopplerGrid(500.0, 2000.0, t_per)
+        grid = DopplerGrid(500.0, 2000.0)
         config = SimConfig(trials=1, seed=0, fidelity=Fidelity.WAVEFORM, params=params,
                            grid=grid, policy=SearchPolicy(SearchOrder.CODE_PHASE_FIRST, 0))
         nb, k, seed = 3, grid.num_bins, 12345
@@ -255,7 +255,7 @@ class TestSingleWaveformTrial:
         beta, trials = 8.0, 500
         for order in SearchOrder:
             cfg = SimConfig(trials=512, seed=19, fidelity=Fidelity.WAVEFORM, params=PARAMS,
-                            grid=DopplerGrid(1000.0, 2000.0, 1e-3),
+                            grid=DopplerGrid(1000.0, 2000.0),
                             policy=SearchPolicy(order, 1, beta))
             rng = np.random.default_rng(23)
             single = {c: 0 for c in Classification}
@@ -297,7 +297,7 @@ class TestFixedSeedRegression:
         # a change to the multi-period realizations shows here
         params = SignalParams(cn0_dbhz=40.0, t_per=2e-3)
         config = SimConfig(trials=256, seed=62, fidelity=Fidelity.WAVEFORM, params=params,
-                           grid=DopplerGrid(250.0, 2000.0, 2e-3),
+                           grid=DopplerGrid(250.0, 2000.0),
                            policy=SearchPolicy(SearchOrder.CODE_PHASE_FIRST, 0))
         res = monte_carlo_sweep(config, default_beta_grid())
         assert [r.n_detect for r in res] == [
